@@ -13,7 +13,7 @@
 //!   next to the flash.
 
 use hyperion::dpu::HyperionDpu;
-use hyperion::services::{ServiceRequest, ServiceResponse, TableRegistry, TreeOp};
+use hyperion::services::{ServiceResponse, TreeOp};
 use hyperion_ebpf::{assemble, MapId, Program, Vm};
 use hyperion_net::rpc::{MethodId, RpcChannel};
 use hyperion_net::Network;
@@ -140,17 +140,15 @@ pub struct ChaseResult {
 
 /// Loads `n` keys (`key -> key * 7`) into the DPU's tree.
 pub fn populate_tree(dpu: &mut HyperionDpu, n: u64, now: Ns) -> Ns {
-    let reg = TableRegistry::default();
     let mut t = now;
     for k in 0..n {
         let (_, done) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::TreeInsert {
+            .dispatch(
+                t,
+                TreeOp::Insert {
                     key: k,
                     value: k * 7,
                 },
-                t,
             )
             .expect("insert");
         t = done;
@@ -166,18 +164,58 @@ pub fn offloaded_lookup(
     key: u64,
     now: Ns,
 ) -> ChaseResult {
-    let reg = TableRegistry::default();
+    offloaded_lookup_rec(dpu, channel, net, key, now, None)
+}
+
+/// [`offloaded_lookup`] with telemetry: the whole lookup is one
+/// `chase:offloaded` root span (the per-request unit the critical-path
+/// analyzer decomposes), the on-DPU traversal records its service span
+/// and `tree.lookup` op sample, the single RPC records its per-leg wire
+/// spans, and the whole lookup lands as an `e6.offloaded` op sample.
+pub fn offloaded_lookup_traced(
+    dpu: &mut HyperionDpu,
+    channel: &mut RpcChannel,
+    net: &mut Network,
+    key: u64,
+    now: Ns,
+    rec: &mut Recorder,
+) -> ChaseResult {
+    offloaded_lookup_rec(dpu, channel, net, key, now, Some(rec))
+}
+
+fn offloaded_lookup_rec(
+    dpu: &mut HyperionDpu,
+    channel: &mut RpcChannel,
+    net: &mut Network,
+    key: u64,
+    now: Ns,
+    mut rec: Option<&mut Recorder>,
+) -> ChaseResult {
+    let root = rec
+        .as_deref_mut()
+        .map(|rec| rec.open(Component::Service, "chase:offloaded", now));
     // Server work = the on-DPU traversal time.
     let (resp, served) = dpu
-        .serve(&reg, ServiceRequest::TreeLookup { key }, now)
+        .dispatch_rec(now, TreeOp::Lookup { key }, rec.as_deref_mut())
         .expect("lookup");
     let ServiceResponse::Value(value) = resp else {
         unreachable!("lookup returns a value");
     };
-    let work = served - now;
     let d = channel
-        .call(net, MethodId(1), now, 16, 16, work)
+        .call_rec(
+            net,
+            MethodId(1),
+            now,
+            16,
+            16,
+            served - now,
+            rec.as_deref_mut(),
+        )
         .expect("rpc");
+    if let (Some(rec), Some(root)) = (rec, root) {
+        rec.close(root, d.done);
+        rec.record_op("e6.offloaded", d.done.saturating_sub(now));
+    }
     ChaseResult {
         value,
         done: d.done,
@@ -194,7 +232,35 @@ pub fn client_driven_lookup(
     key: u64,
     now: Ns,
 ) -> ChaseResult {
-    let reg = TableRegistry::default();
+    client_driven_lookup_rec(dpu, channel, net, key, now, None)
+}
+
+/// [`client_driven_lookup`] with telemetry: the whole walk is one
+/// `chase:client` root span, every per-level node fetch records its
+/// service span (`tree.node_read`) and wire spans, and the walk lands as
+/// an `e6.client_driven` op sample.
+pub fn client_driven_lookup_traced(
+    dpu: &mut HyperionDpu,
+    channel: &mut RpcChannel,
+    net: &mut Network,
+    key: u64,
+    now: Ns,
+    rec: &mut Recorder,
+) -> ChaseResult {
+    client_driven_lookup_rec(dpu, channel, net, key, now, Some(rec))
+}
+
+fn client_driven_lookup_rec(
+    dpu: &mut HyperionDpu,
+    channel: &mut RpcChannel,
+    net: &mut Network,
+    key: u64,
+    now: Ns,
+    mut rec: Option<&mut Recorder>,
+) -> ChaseResult {
+    let root = rec
+        .as_deref_mut()
+        .map(|rec| rec.open(Component::Service, "chase:client", now));
     let tree = dpu.btree.as_ref().expect("tree exists");
     // The client knows the root address (cached from an earlier open).
     let mut lba = tree.root_lba();
@@ -205,14 +271,21 @@ pub fn client_driven_lookup(
     for level in 0..height {
         // Fetch one node: the server-side work is the single block read.
         let (resp, served) = dpu
-            .serve(&reg, ServiceRequest::TreeNodeRead { lba }, t)
+            .dispatch_rec(t, TreeOp::NodeRead { lba }, rec.as_deref_mut())
             .expect("node read");
         let ServiceResponse::Node(data) = resp else {
             unreachable!("node read returns bytes");
         };
-        let work = served - t;
         let d = channel
-            .call(net, MethodId(2), t, 16, BLOCK, work)
+            .call_rec(
+                net,
+                MethodId(2),
+                t,
+                16,
+                BLOCK,
+                served - t,
+                rec.as_deref_mut(),
+            )
             .expect("rpc");
         t = d.done;
         rtts += d.wire_rounds;
@@ -239,101 +312,10 @@ pub fn client_driven_lookup(
             lba = word(n + idx);
         }
     }
-    ChaseResult {
-        value,
-        done: t,
-        rtts,
+    if let (Some(rec), Some(root)) = (rec, root) {
+        rec.close(root, t);
+        rec.record_op("e6.client_driven", t.saturating_sub(now));
     }
-}
-
-/// [`offloaded_lookup`] with telemetry: the whole lookup is one
-/// `chase:offloaded` root span (the per-request unit the critical-path
-/// analyzer decomposes), the on-DPU traversal runs through the traced
-/// dispatch path (service span + `tree.lookup` op sample), the single RPC
-/// records its per-leg wire spans, and the whole lookup lands as an
-/// `e6.offloaded` op sample.
-pub fn offloaded_lookup_traced(
-    dpu: &mut HyperionDpu,
-    channel: &mut RpcChannel,
-    net: &mut Network,
-    key: u64,
-    now: Ns,
-    rec: &mut Recorder,
-) -> ChaseResult {
-    let root = rec.open(Component::Service, "chase:offloaded", now);
-    let (resp, served) = dpu
-        .dispatch_traced(now, TreeOp::Lookup { key }, rec)
-        .expect("lookup");
-    let ServiceResponse::Value(value) = resp else {
-        unreachable!("lookup returns a value");
-    };
-    let work = served - now;
-    let d = channel
-        .call_traced(net, MethodId(1), now, 16, 16, work, rec)
-        .expect("rpc");
-    rec.close(root, d.done);
-    rec.record_op("e6.offloaded", d.done.saturating_sub(now));
-    ChaseResult {
-        value,
-        done: d.done,
-        rtts: d.wire_rounds,
-    }
-}
-
-/// [`client_driven_lookup`] with telemetry: the whole walk is one
-/// `chase:client` root span, every per-level node fetch records its
-/// service span (`tree.node_read`) and wire spans, and the walk lands as
-/// an `e6.client_driven` op sample.
-pub fn client_driven_lookup_traced(
-    dpu: &mut HyperionDpu,
-    channel: &mut RpcChannel,
-    net: &mut Network,
-    key: u64,
-    now: Ns,
-    rec: &mut Recorder,
-) -> ChaseResult {
-    let root = rec.open(Component::Service, "chase:client", now);
-    let tree = dpu.btree.as_ref().expect("tree exists");
-    let mut lba = tree.root_lba();
-    let height = tree.height();
-    let mut t = now;
-    let mut rtts = 0;
-    let mut value = None;
-    for level in 0..height {
-        let (resp, served) = dpu
-            .dispatch_traced(t, TreeOp::NodeRead { lba }, rec)
-            .expect("node read");
-        let ServiceResponse::Node(data) = resp else {
-            unreachable!("node read returns bytes");
-        };
-        let work = served - t;
-        let d = channel
-            .call_traced(net, MethodId(2), t, 16, BLOCK, work, rec)
-            .expect("rpc");
-        t = d.done;
-        rtts += d.wire_rounds;
-        let tag = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
-        let n = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
-        let word = |i: usize| -> u64 {
-            u64::from_le_bytes(data[16 + i * 8..24 + i * 8].try_into().expect("8 bytes"))
-        };
-        if tag == 1 {
-            for i in 0..n {
-                if word(i) == key {
-                    value = Some(word(n + i));
-                }
-            }
-            debug_assert_eq!(level + 1, height);
-        } else {
-            let mut idx = 0;
-            while idx < n && word(idx) <= key {
-                idx += 1;
-            }
-            lba = word(n + idx);
-        }
-    }
-    rec.close(root, t);
-    rec.record_op("e6.client_driven", t.saturating_sub(now));
     ChaseResult {
         value,
         done: t,

@@ -199,11 +199,17 @@ mod tests {
     #[test]
     fn counter_rows_sort_by_name() {
         let mut r = sample_rec();
-        r.bump("net:timeouts");
-        r.count("net:retries", 3);
+        r.bump("nvmeof:timeouts");
+        r.count("nvmeof:retries", 3);
         let t = counter_table(&r).expect("counters present");
-        assert_eq!(t.rows[0], vec!["net:retries".to_string(), "3".to_string()]);
-        assert_eq!(t.rows[1], vec!["net:timeouts".to_string(), "1".to_string()]);
+        assert_eq!(
+            t.rows[0],
+            vec!["nvmeof:retries".to_string(), "3".to_string()]
+        );
+        assert_eq!(
+            t.rows[1],
+            vec!["nvmeof:timeouts".to_string(), "1".to_string()]
+        );
         assert!(counter_table(&sample_rec()).is_none());
     }
 

@@ -102,7 +102,17 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> ProfileOutcome {
     for lba in 0..SPAN {
         let w = ini.write(lba, Bytes::from(vec![lba as u8; 4096]));
         let (_, x) = ini
-            .exchange(&mut net, &tr, client, dpu, &mut target, w, now, &policy)
+            .exchange(
+                &mut net,
+                &tr,
+                client,
+                dpu,
+                &mut target,
+                w,
+                now,
+                &policy,
+                None,
+            )
             .expect("fault-free seeding");
         now = x.done;
     }
@@ -118,29 +128,17 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> ProfileOutcome {
     };
     for i in 0..READS {
         let capsule = ini.read((i * 17) % SPAN, 1);
-        let result = match rec.as_deref_mut() {
-            Some(rec) => ini.exchange_traced(
-                &mut net,
-                &tr,
-                client,
-                dpu,
-                &mut target,
-                capsule,
-                now,
-                &policy,
-                rec,
-            ),
-            None => ini.exchange(
-                &mut net,
-                &tr,
-                client,
-                dpu,
-                &mut target,
-                capsule,
-                now,
-                &policy,
-            ),
-        };
+        let result = ini.exchange(
+            &mut net,
+            &tr,
+            client,
+            dpu,
+            &mut target,
+            capsule,
+            now,
+            &policy,
+            rec.as_deref_mut(),
+        );
         match result {
             Ok((resp, x)) => {
                 out.latencies.push((x.done - now).0);

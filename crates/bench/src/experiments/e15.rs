@@ -94,16 +94,23 @@ fn run_load(load: &Load) -> (Recorder, Ns) {
     for op in 0..CLIENTS * OPS_PER_CLIENT {
         let client = clients[op % CLIENTS];
         let d = tr
-            .send_traced(&mut net, client, dpu, Ns::ZERO, load.msg_bytes, &mut rec)
+            .send_rec(
+                &mut net,
+                client,
+                dpu,
+                Ns::ZERO,
+                load.msg_bytes,
+                Some(&mut rec),
+            )
             .expect("fault-free fabric");
-        let dma_done = link.transfer_traced(d.done, load.dma_bytes, &mut rec);
+        let dma_done = link.transfer_rec(d.done, load.dma_bytes, Some(&mut rec));
         let lba = if load.collide_flash {
             0
         } else {
             (op as u64) * lbas_per_page
         };
         let c = dev
-            .submit_traced(Command::Read { lba, blocks: 1 }, dma_done, &mut rec)
+            .submit_rec(Command::Read { lba, blocks: 1 }, dma_done, Some(&mut rec))
             .expect("in-range read");
         makespan = makespan.max(c.done);
     }

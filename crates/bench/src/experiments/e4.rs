@@ -171,9 +171,9 @@ pub fn telemetry() -> Recorder {
         let mut sw_now = Ns::ZERO;
         for i in 0..TELEMETRY_PACKETS {
             packet[0] = i as u8;
-            // The traced twin also marks intake back-pressure (II spacing)
-            // as a queueing edge for the critical-path analyzer.
-            let done = hw.admit_traced(hw_hop, hw_now, &mut rec);
+            // The recorded admit also marks intake back-pressure (II
+            // spacing) as a queueing edge for the critical-path analyzer.
+            let done = hw.admit_rec(hw_now, Some((&mut rec, hw_hop)));
             hw_now = done;
 
             let r = vm.run(&program, &mut packet).expect("run");

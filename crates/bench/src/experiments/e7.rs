@@ -3,7 +3,7 @@
 
 use hyperion::control::ControlPlane;
 use hyperion::dpu::DpuBuilder;
-use hyperion_apps::fail2ban::{deploy, run_on_dpu, run_on_dpu_traced};
+use hyperion_apps::fail2ban::{deploy, run_on_dpu, run_on_dpu_rec};
 use hyperion_apps::loadbalancer::LoadBalancer;
 use hyperion_apps::trafficgen::TrafficGen;
 use hyperion_baseline::host::HostServer;
@@ -162,14 +162,14 @@ pub fn telemetry() -> Recorder {
     let mut cp = ControlPlane::new(KEY);
     let (slot, live) = deploy(&mut dpu, &mut cp, t0).expect("deploy");
     let mut gen = TrafficGen::new(99, 5_000, 0.1, 64);
-    let _ = run_on_dpu_traced(
+    let _ = run_on_dpu_rec(
         &mut dpu,
         &mut cp,
         slot,
         &mut gen,
         TELEMETRY_PACKETS,
         live,
-        &mut rec,
+        Some(&mut rec),
     );
 
     let program = assemble(
@@ -204,13 +204,13 @@ pub fn telemetry() -> Recorder {
             rec.record_hop(Component::Host, "kernel:log_write", now, t);
             now = t;
             host.raw_device()
-                .submit_traced(
+                .submit_rec(
                     hyperion_nvme::device::Command::Write {
                         lba: log_lba,
                         data: bytes::Bytes::from(vec![0u8; 4096]),
                     },
                     now,
-                    &mut rec,
+                    Some(&mut rec),
                 )
                 .expect("log write");
             log_lba += 1;

@@ -289,6 +289,9 @@ mod tests {
     fn emitted_names_are_registered() {
         let recs = [
             crate::experiments::e1::telemetry(),
+            crate::experiments::e4::telemetry(),
+            crate::experiments::e6::telemetry(),
+            crate::experiments::e7::telemetry(),
             crate::experiments::e13::telemetry(),
             crate::experiments::e14::telemetry(),
             crate::experiments::e15::telemetry(),

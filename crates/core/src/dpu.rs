@@ -23,8 +23,6 @@ use hyperion_storage::corfu::CorfuLog;
 use hyperion_storage::fs::FileSystem;
 use hyperion_storage::lsm::LsmTree;
 
-use crate::platform;
-
 /// DPU life-cycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpuState {
@@ -124,9 +122,7 @@ pub struct DpuPorts {
 ///
 /// Defaults match the prototype blueprint: two segment-store SSDs, five
 /// reconfigurable slots, auth key 0. The builder exposes the assembly
-/// choices the paper treats as deployment parameters; the deprecated
-/// `assemble(auth_key)` one-knob shim remains only for out-of-tree
-/// callers and is hidden from docs.
+/// choices the paper treats as deployment parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DpuBuilder {
     segment_ssds: usize,
@@ -229,13 +225,6 @@ impl DpuBuilder {
 }
 
 impl HyperionDpu {
-    /// Assembles an unbooted DPU with fresh SSDs.
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `DpuBuilder` instead")]
-    pub fn assemble(auth_key: u64) -> HyperionDpu {
-        DpuBuilder::new().auth_key(auth_key).build()
-    }
-
     /// Boots standalone: JTAG self-tests, then segment-table recovery from
     /// the boot area, then structure-volume formatting (first boot) —
     /// no host CPU anywhere on the path. Returns the ready instant.
@@ -286,13 +275,6 @@ impl HyperionDpu {
         } else {
             Err(DpuError::NotReady)
         }
-    }
-
-    /// Total energy drawn since boot if the DPU ran for `dt`, using the
-    /// whole-assembly TDP envelope (conservative: the paper's own
-    /// comparison is max-TDP based).
-    pub fn energy_envelope(&self, dt: Ns) -> hyperion_sim::energy::Pj {
-        platform::HYPERION.max_tdp.energy_over(dt)
     }
 }
 

@@ -326,7 +326,7 @@ impl Default for Initiator {
 }
 
 /// How one fabric command exchange finished.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricExchange {
     /// When the response capsule reached the initiator.
     pub done: Ns,
@@ -395,6 +395,11 @@ impl Initiator {
     /// exponential backoff. Each retry re-arms with a fresh `cid` so a
     /// stale response cannot be confused with the live attempt. Gives up
     /// with [`NetError::Exhausted`] after `policy.max_attempts` attempts.
+    ///
+    /// When `rec` is given the exchange is recorded: an `nvmeof` span over
+    /// the whole session, per-failure retry counters with a `fault:*`
+    /// instant each, and a queueing edge when retries delayed the start
+    /// of the winning attempt.
     #[allow(clippy::too_many_arguments)]
     pub fn exchange(
         &mut self,
@@ -406,85 +411,20 @@ impl Initiator {
         mut capsule: CommandCapsule,
         now: Ns,
         policy: &RetryPolicy,
-    ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        self.exchange_inner(
-            net,
-            tr,
-            client,
-            target_ep,
-            target,
-            &mut capsule,
-            now,
-            policy,
-            None,
-        )
-    }
-
-    /// [`Initiator::exchange`] with telemetry: an `nvmeof` span over the
-    /// whole session, per-failure retry counters, and a queueing edge when
-    /// retries delayed the start of the winning attempt.
-    #[allow(clippy::too_many_arguments)]
-    pub fn exchange_traced(
-        &mut self,
-        net: &mut Network,
-        tr: &Transport,
-        client: Endpoint,
-        target_ep: Endpoint,
-        target: &mut NvmeOfTarget,
-        mut capsule: CommandCapsule,
-        now: Ns,
-        policy: &RetryPolicy,
-        rec: &mut Recorder,
-    ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        let label = match capsule.opcode {
-            FabricOpcode::Read => "nvmeof:read",
-            FabricOpcode::Write => "nvmeof:write",
-            FabricOpcode::Flush => "nvmeof:flush",
-        };
-        let span = rec.open(Component::Service, label, now);
-        let out = self.exchange_inner(
-            net,
-            tr,
-            client,
-            target_ep,
-            target,
-            &mut capsule,
-            now,
-            policy,
-            Some(rec),
-        );
-        match &out {
-            Ok((_, x)) => {
-                if x.attempts > 1 {
-                    rec.count("nvmeof:retries", (x.attempts - 1) as u64);
-                }
-                if x.started > now {
-                    rec.queue_edge(span, x.started);
-                }
-                rec.close(span, x.done);
-            }
-            Err(_) => {
-                rec.bump("nvmeof:gave_up");
-                rec.close(span, now);
-            }
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_inner(
-        &mut self,
-        net: &mut Network,
-        tr: &Transport,
-        client: Endpoint,
-        target_ep: Endpoint,
-        target: &mut NvmeOfTarget,
-        capsule: &mut CommandCapsule,
-        now: Ns,
-        policy: &RetryPolicy,
         mut rec: Option<&mut Recorder>,
     ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
+        let span = rec.as_deref_mut().map(|rec| {
+            let label = match capsule.opcode {
+                FabricOpcode::Read => "nvmeof:read",
+                FabricOpcode::Write => "nvmeof:write",
+                FabricOpcode::Flush => "nvmeof:flush",
+            };
+            rec.open(Component::Service, label, now)
+        });
         let mut t = now;
+        let mut result = Err(NetError::Exhausted {
+            attempts: policy.max_attempts,
+        });
         for attempt in 0..policy.max_attempts {
             if attempt > 0 {
                 capsule.cid = self.alloc_cid();
@@ -496,45 +436,57 @@ impl Initiator {
                         ResponseCapsule::decode(&resp_wire).expect("target responses decode");
                     match tr.send(net, target_ep, client, ready, resp.wire_len()) {
                         Ok(back) => {
-                            return Ok((
-                                resp,
-                                FabricExchange {
-                                    done: back.done,
-                                    started: t,
-                                    attempts: attempt + 1,
-                                },
-                            ));
+                            let x = FabricExchange {
+                                done: back.done,
+                                started: t,
+                                attempts: attempt + 1,
+                            };
+                            result = Ok((resp, x));
+                            break;
                         }
                         Err(e) => e,
                     }
                 }
                 Err(e) => e,
             };
-            match next_attempt_at(&err, t, policy, attempt) {
-                Some(next) => {
-                    if let Some(rec) = rec.as_deref_mut() {
-                        let counter = match &err {
-                            NetError::Dropped => Some("nvmeof:timeouts"),
-                            NetError::Corrupted { .. } => Some("nvmeof:corrupt"),
-                            NetError::LinkDown { .. } => Some("nvmeof:link_down"),
-                            _ => None,
-                        };
-                        if let Some(counter) = counter {
-                            rec.bump(counter);
-                            // Mark the fault arrival on the trace timeline
-                            // too — the counter says how many, the instant
-                            // says when.
-                            rec.instant(&format!("fault:{counter}"), t);
-                        }
-                    }
-                    t = next;
+            let Some(next) = next_attempt_at(&err, t, policy, attempt) else {
+                result = Err(err);
+                break;
+            };
+            if let Some(rec) = rec.as_deref_mut() {
+                let counter = match &err {
+                    NetError::Dropped => Some("nvmeof:timeouts"),
+                    NetError::Corrupted { .. } => Some("nvmeof:corrupt"),
+                    NetError::LinkDown { .. } => Some("nvmeof:link_down"),
+                    _ => None,
+                };
+                if let Some(counter) = counter {
+                    rec.bump(counter);
+                    // Mark the fault arrival on the trace timeline too —
+                    // the counter says how many, the instant says when.
+                    rec.instant(&format!("fault:{counter}"), t);
                 }
-                None => return Err(err),
+            }
+            t = next;
+        }
+        if let (Some(rec), Some(span)) = (rec, span) {
+            match &result {
+                Ok((_, x)) => {
+                    if x.attempts > 1 {
+                        rec.count("nvmeof:retries", (x.attempts - 1) as u64);
+                    }
+                    if x.started > now {
+                        rec.queue_edge(span, x.started);
+                    }
+                    rec.close(span, x.done);
+                }
+                Err(_) => {
+                    rec.bump("nvmeof:gave_up");
+                    rec.close(span, now);
+                }
             }
         }
-        Err(NetError::Exhausted {
-            attempts: policy.max_attempts,
-        })
+        result
     }
 }
 
@@ -647,7 +599,7 @@ mod tests {
         for i in 0..8u64 {
             let capsule = ini.write(i, Bytes::from(vec![i as u8; 4096]));
             let (resp, x) = ini
-                .exchange_traced(
+                .exchange(
                     &mut net,
                     &tr,
                     client,
@@ -656,7 +608,7 @@ mod tests {
                     capsule,
                     t,
                     &policy,
-                    &mut rec,
+                    Some(&mut rec),
                 )
                 .expect("bounded retry recovers at 50% loss");
             assert_eq!(resp.status, FabricStatus::Ok);
@@ -691,7 +643,7 @@ mod tests {
         };
         let mut rec = hyperion_telemetry::Recorder::new("nvmeof");
         let capsule = ini.read(0, 1);
-        let out = ini.exchange_traced(
+        let out = ini.exchange(
             &mut net,
             &tr,
             client,
@@ -700,12 +652,78 @@ mod tests {
             capsule,
             Ns::ZERO,
             &policy,
-            &mut rec,
+            Some(&mut rec),
         );
         assert!(matches!(out, Err(NetError::Exhausted { attempts: 4 })));
         assert_eq!(rec.counter("nvmeof:gave_up"), 1);
         assert_eq!(rec.counter("nvmeof:timeouts"), 4);
         assert_eq!(target.served(), 0, "nothing reached the target");
+    }
+
+    #[test]
+    fn recorded_exchange_agrees_with_plain_under_faults() {
+        use hyperion_net::{RetryPolicy, FAULT_NET_CORRUPT, FAULT_NET_DROP, FAULT_NET_FLAP};
+        use hyperion_telemetry::Recorder;
+        // One seeded plan with drops, corruption and a flap window, two
+        // fresh setups: recording must not move an outcome, a completion
+        // instant, a retry or a device counter.
+        let run = |mut rec: Option<&mut Recorder>| {
+            let mut net = Network::new();
+            let client = Endpoint::new(net.add_node(), EndpointKind::Kernel);
+            let dpu = Endpoint::new(net.add_node(), EndpointKind::Hardware);
+            net.set_fault_plan(
+                hyperion_sim::fault::FaultPlan::seeded(21)
+                    .bernoulli(FAULT_NET_DROP, 0.15)
+                    .bernoulli(FAULT_NET_CORRUPT, 0.15)
+                    .window(FAULT_NET_FLAP, Ns(300_000), Ns(700_000)),
+            );
+            let tr = Transport::new(TransportKind::Udp);
+            let mut target = NvmeOfTarget::new(1 << 16);
+            let mut ini = Initiator::new();
+            let policy = RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::DEFAULT
+            };
+            let mut out = Vec::new();
+            let mut t = Ns::ZERO;
+            for i in 0..48u64 {
+                let capsule = if i % 3 == 0 {
+                    ini.write(i, Bytes::from(vec![i as u8; 4096]))
+                } else {
+                    ini.read(i / 3, 1)
+                };
+                let r = ini.exchange(
+                    &mut net,
+                    &tr,
+                    client,
+                    dpu,
+                    &mut target,
+                    capsule,
+                    t,
+                    &policy,
+                    rec.as_deref_mut(),
+                );
+                t = r.as_ref().map_or(t + Ns(50_000), |(_, x)| x.done);
+                out.push(r);
+            }
+            let counters: Vec<(&str, u64)> = target.device().counters.iter().collect();
+            (out, counters, target.served(), net.messages())
+        };
+        let plain = run(None);
+        let mut rec = Recorder::new("nvmeof-faults");
+        let recorded = run(Some(&mut rec));
+        assert_eq!(plain, recorded);
+        for counter in ["nvmeof:timeouts", "nvmeof:corrupt", "nvmeof:link_down"] {
+            assert!(rec.counter(counter) > 0, "{counter} never fired");
+        }
+        let retries: u64 = plain
+            .0
+            .iter()
+            .flatten()
+            .map(|(_, x)| (x.attempts - 1) as u64)
+            .sum();
+        assert_eq!(rec.counter("nvmeof:retries"), retries);
+        assert_eq!(rec.open_spans(), 0);
     }
 
     #[test]

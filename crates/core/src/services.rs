@@ -498,20 +498,12 @@ impl KvOp {
             }
             KvOp::SsdPut { key, value } => {
                 let cmd = hyperion_nvme::device::Command::KvPut { key, value };
-                let c = match rec {
-                    Some(rec) => dpu.kvssd.submit_traced(cmd, now, rec),
-                    None => dpu.kvssd.submit(cmd, now),
-                }
-                .map_err(kv_ssd_err)?;
+                let c = dpu.kvssd.submit_rec(cmd, now, rec).map_err(kv_ssd_err)?;
                 Ok((ServiceResponse::Ok, c.done))
             }
             KvOp::SsdGet { key } => {
                 let cmd = hyperion_nvme::device::Command::KvGet { key };
-                let c = match rec {
-                    Some(rec) => dpu.kvssd.submit_traced(cmd, now, rec),
-                    None => dpu.kvssd.submit(cmd, now),
-                }
-                .map_err(kv_ssd_err)?;
+                let c = dpu.kvssd.submit_rec(cmd, now, rec).map_err(kv_ssd_err)?;
                 let value = match c.response {
                     hyperion_nvme::device::Response::Data(d) => Some(d),
                     _ => None,
@@ -723,48 +715,14 @@ impl ServiceOp {
         }
     }
 
-    /// Routes to the owning group's dispatch.
+    /// Routes to the owning group's dispatch (see
+    /// [`HyperionDpu::dispatch_rec`]).
     pub fn dispatch(
         self,
         dpu: &mut HyperionDpu,
         now: Ns,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        self.dispatch_rec(dpu, now, None)
-    }
-
-    fn dispatch_rec(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        // Admission first: a shed request costs the DPU nothing but the
-        // decision itself. Off (None) by default — the baseline path does
-        // not even reap.
-        if let Some(adm) = dpu.admission.as_mut() {
-            if let Err(overload) = adm.admit(now) {
-                dpu.counters.bump("shed");
-                if let Some(rec) = rec.as_deref_mut() {
-                    rec.bump("service:shed");
-                }
-                return Err(ServiceError::Overloaded {
-                    depth: overload.depth,
-                    limit: overload.limit,
-                });
-            }
-        }
-        dpu.counters.bump("served");
-        let result = match self {
-            ServiceOp::Kv(op) => op.dispatch_rec(dpu, now, rec),
-            ServiceOp::Tree(op) => op.dispatch(dpu, now),
-            ServiceOp::Log(op) => op.dispatch(dpu, now),
-            ServiceOp::File(op) => op.dispatch(dpu, now),
-            ServiceOp::Columnar(op) => op.dispatch(dpu, now),
-        };
-        if let (Some(adm), Ok((_, done))) = (dpu.admission.as_mut(), &result) {
-            adm.record(*done);
-        }
-        result
+        dpu.dispatch_rec(now, self, None)
     }
 }
 
@@ -800,37 +758,79 @@ impl HyperionDpu {
         now: Ns,
         op: impl Into<ServiceOp>,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        op.into().dispatch(self, now)
+        self.dispatch_rec(now, op, None)
     }
 
-    /// [`HyperionDpu::dispatch`] with telemetry: a [`Component::Service`]
-    /// span over the op, a per-op latency sample under the op's label, a
-    /// fabric slot-occupancy gauge, and nested device spans where the op
-    /// touches the KV-SSD.
+    /// [`HyperionDpu::dispatch`] with telemetry (see
+    /// [`HyperionDpu::dispatch_rec`]).
     pub fn dispatch_traced(
         &mut self,
         now: Ns,
         op: impl Into<ServiceOp>,
         rec: &mut Recorder,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
+        self.dispatch_rec(now, op, Some(rec))
+    }
+
+    /// [`HyperionDpu::dispatch`], recorded when `rec` is given: a
+    /// [`Component::Service`] span over the op, a per-op latency sample
+    /// under the op's label, a fabric slot-occupancy gauge, and nested
+    /// device spans where the op touches the KV-SSD.
+    ///
+    /// Admission runs first: a shed request costs the DPU nothing but the
+    /// decision itself. Admission is off (`None`) by default — the
+    /// baseline path does not even reap.
+    pub fn dispatch_rec(
+        &mut self,
+        now: Ns,
+        op: impl Into<ServiceOp>,
+        mut rec: Option<&mut Recorder>,
+    ) -> Result<(ServiceResponse, Ns), ServiceError> {
         let op = op.into();
         let label = op.label();
-        rec.gauge(
-            "fabric:slots_occupied",
-            self.fabric.slots.occupied_slots() as u64,
-        );
-        let span = rec.open(Component::Service, label, now);
-        match op.dispatch_rec(self, now, Some(rec)) {
-            Ok((resp, t)) => {
-                rec.close(span, t);
-                rec.record_op(label, t.saturating_sub(now));
-                Ok((resp, t))
+        let span = rec.as_deref_mut().map(|rec| {
+            rec.gauge(
+                "fabric:slots_occupied",
+                self.fabric.slots.occupied_slots() as u64,
+            );
+            rec.open(Component::Service, label, now)
+        });
+        let result = match self.admission.as_mut().map(|adm| adm.admit(now)) {
+            Some(Err(overload)) => {
+                self.counters.bump("shed");
+                if let Some(rec) = rec.as_deref_mut() {
+                    rec.bump("service:shed");
+                }
+                Err(ServiceError::Overloaded {
+                    depth: overload.depth,
+                    limit: overload.limit,
+                })
             }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
+            _ => {
+                self.counters.bump("served");
+                let served = match op {
+                    ServiceOp::Kv(op) => op.dispatch_rec(self, now, rec.as_deref_mut()),
+                    ServiceOp::Tree(op) => op.dispatch(self, now),
+                    ServiceOp::Log(op) => op.dispatch(self, now),
+                    ServiceOp::File(op) => op.dispatch(self, now),
+                    ServiceOp::Columnar(op) => op.dispatch(self, now),
+                };
+                if let (Some(adm), Ok((_, done))) = (self.admission.as_mut(), &served) {
+                    adm.record(*done);
+                }
+                served
+            }
+        };
+        if let (Some(rec), Some(span)) = (rec, span) {
+            match &result {
+                Ok((_, t)) => {
+                    rec.close(span, *t);
+                    rec.record_op(label, t.saturating_sub(now));
+                }
+                Err(_) => rec.close(span, now),
             }
         }
+        result
     }
 
     /// Serves one request at `now`; returns the response and the instant

@@ -155,64 +155,66 @@ impl SlotManager {
         bitstream: Bitstream,
         now: Ns,
     ) -> Result<Ns, SlotError> {
-        if slot.0 >= self.slots.len() {
-            return Err(SlotError::NoSuchSlot(slot.0));
-        }
-        if !bitstream.verify(self.auth_key) {
-            return Err(SlotError::Unauthorized);
-        }
-        if !bitstream.requires.fits_in(&self.slot_budget) {
-            return Err(SlotError::DoesNotFit {
+        self.program_rec(slot, bitstream, now, None)
+    }
+
+    /// [`SlotManager::program`], recorded when `rec` is given: a span over
+    /// the reconfiguration, with a queueing edge when it had to wait for
+    /// the ICAP. When the recorder's utilization plane is on, the ICAP's
+    /// streaming window is claimed as `fabric:icap`, slot occupancy is
+    /// sampled as a `fabric:slots` depth timeline, and the queueing edge
+    /// blames the ICAP.
+    pub fn program_rec(
+        &mut self,
+        slot: SlotId,
+        bitstream: Bitstream,
+        now: Ns,
+        rec: Option<&mut Recorder>,
+    ) -> Result<Ns, SlotError> {
+        let traced = rec.map(|rec| {
+            let span = rec.open(Component::Fabric, "fabric:reconfig", now);
+            (rec, span)
+        });
+        let refused = if slot.0 >= self.slots.len() {
+            Some(SlotError::NoSuchSlot(slot.0))
+        } else if !bitstream.verify(self.auth_key) {
+            Some(SlotError::Unauthorized)
+        } else if !bitstream.requires.fits_in(&self.slot_budget) {
+            Some(SlotError::DoesNotFit {
                 slot: slot.0,
                 occupancy: bitstream.requires.occupancy_of(&self.slot_budget),
-            });
-        }
-        if self.slots[slot.0].is_some() {
-            return Err(SlotError::Occupied(slot.0));
+            })
+        } else if self.slots[slot.0].is_some() {
+            Some(SlotError::Occupied(slot.0))
+        } else {
+            None
+        };
+        if let Some(e) = refused {
+            if let Some((rec, span)) = traced {
+                rec.close(span, now);
+            }
+            return Err(e);
         }
         let stream = serialization_delay(bitstream.size_bytes, params::ICAP_BANDWIDTH_BPS);
-        let live = self.icap.access(now, stream) + params::RECONFIG_OVERHEAD;
+        let (icap_start, stream_end) = self.icap.access_interval(now, stream);
+        let live = stream_end + params::RECONFIG_OVERHEAD;
         self.slots[slot.0] = Some(Resident {
             bitstream,
             live_since: live,
         });
         self.reconfigs += 1;
-        Ok(live)
-    }
-
-    /// [`SlotManager::program`] with a telemetry span over the
-    /// reconfiguration. When the recorder's utilization plane is on, the
-    /// ICAP's streaming window is claimed as `fabric:icap`, slot occupancy
-    /// is sampled as a `fabric:slots` depth timeline, and a reconfiguration
-    /// that had to wait for the ICAP gets a queueing edge blaming it.
-    /// Timing is identical to the untraced path.
-    pub fn program_traced(
-        &mut self,
-        slot: SlotId,
-        bitstream: Bitstream,
-        now: Ns,
-        rec: &mut Recorder,
-    ) -> Result<Ns, SlotError> {
-        let span = rec.open(Component::Fabric, "fabric:reconfig", now);
-        let icap_start = self.icap.earliest_start(now);
-        let live = match self.program(slot, bitstream, now) {
-            Ok(live) => live,
-            Err(e) => {
-                rec.close(span, now);
-                return Err(e);
+        if let Some((rec, span)) = traced {
+            if rec.util_enabled() {
+                rec.claim_busy("fabric:icap", icap_start, stream_end);
+                rec.depth_sample("fabric:slots", now, self.occupied_slots() as u64);
+                if icap_start > now {
+                    rec.queue_edge_labeled(span, icap_start, "fabric:icap");
+                }
+            } else if icap_start > now {
+                rec.queue_edge(span, icap_start);
             }
-        };
-        if rec.util_enabled() {
-            let stream_end = live - params::RECONFIG_OVERHEAD;
-            rec.claim_busy("fabric:icap", icap_start, stream_end);
-            rec.depth_sample("fabric:slots", now, self.occupied_slots() as u64);
-            if icap_start > now {
-                rec.queue_edge_labeled(span, icap_start, "fabric:icap");
-            }
-        } else if icap_start > now {
-            rec.queue_edge(span, icap_start);
+            rec.close(span, live);
         }
-        rec.close(span, live);
         Ok(live)
     }
 
@@ -287,10 +289,10 @@ mod tests {
         let mut rec = Recorder::new("fabric-util");
         rec.enable_util();
         let a = m
-            .program_traced(SlotId(0), small_kernel("a"), Ns::ZERO, &mut rec)
+            .program_rec(SlotId(0), small_kernel("a"), Ns::ZERO, Some(&mut rec))
             .unwrap();
         let b = m
-            .program_traced(SlotId(1), small_kernel("b"), Ns::ZERO, &mut rec)
+            .program_rec(SlotId(1), small_kernel("b"), Ns::ZERO, Some(&mut rec))
             .unwrap();
         let icap = rec.util().resource("fabric:icap").expect("icap claimed");
         // Two back-to-back streams coalesce into one contiguous window.

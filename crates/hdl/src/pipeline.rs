@@ -178,31 +178,27 @@ impl HwPipeline {
     /// the pipeline. Back-to-back items are spaced by the initiation
     /// interval; the pipeline depth adds constant latency.
     pub fn admit(&mut self, now: Ns) -> Ns {
-        self.items += 1;
-        let ii_time = self.clock.cycles_to_ns(self.schedule.ii);
-        let issued = self.intake.access(now, ii_time);
-        issued + self.latency()
+        self.admit_rec(now, None)
     }
 
-    /// Queue wait an item arriving at `now` would see at the intake before
-    /// the pipeline can issue it (zero when the intake is free).
-    pub fn intake_wait(&self, now: Ns) -> Ns {
-        self.intake.earliest_start(now).saturating_sub(now)
-    }
-
-    /// [`HwPipeline::admit`] with a [`Component::Fabric`] span labelled
-    /// `label` over the item's traversal. When back-pressure at the
-    /// intake (initiation-interval spacing) delays issue, the span gets a
+    /// [`HwPipeline::admit`], recorded when `rec` is given: a
+    /// [`Component::Fabric`] span, named by the paired label, over the
+    /// item's traversal. When back-pressure at the intake
+    /// (initiation-interval spacing) delays issue, the span gets a
     /// queueing edge so the critical-path analyzer can split intake stall
     /// from pipeline latency.
-    pub fn admit_traced(&mut self, label: &'static str, now: Ns, rec: &mut Recorder) -> Ns {
-        let wait = self.intake_wait(now);
-        let span = rec.open(Component::Fabric, label, now);
-        if wait > Ns::ZERO {
-            rec.queue_edge(span, now + wait);
+    pub fn admit_rec(&mut self, now: Ns, rec: Option<(&mut Recorder, &'static str)>) -> Ns {
+        self.items += 1;
+        let ii_time = self.clock.cycles_to_ns(self.schedule.ii);
+        let (issued, ii_end) = self.intake.access_interval(now, ii_time);
+        let done = ii_end + self.latency();
+        if let Some((rec, label)) = rec {
+            let span = rec.open(Component::Fabric, label, now);
+            if issued > now {
+                rec.queue_edge(span, issued);
+            }
+            rec.close(span, done);
         }
-        let done = self.admit(now);
-        rec.close(span, done);
         done
     }
 
@@ -257,12 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn admit_traced_marks_intake_backpressure() {
+    fn recorded_admit_marks_intake_backpressure() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
         let mut rec = Recorder::new("hdl-unit");
-        let first = p.admit_traced("kernel:item", Ns::ZERO, &mut rec);
+        let first = p.admit_rec(Ns::ZERO, Some((&mut rec, "kernel:item")));
         // Second item at the same instant stalls one II at the intake.
-        let second = p.admit_traced("kernel:item", Ns::ZERO, &mut rec);
+        let second = p.admit_rec(Ns::ZERO, Some((&mut rec, "kernel:item")));
         assert!(second > first);
         assert_eq!(rec.spans().len(), 2);
         assert!(rec

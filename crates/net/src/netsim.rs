@@ -20,9 +20,10 @@ pub struct NodeId(pub usize);
 
 /// Errors from the network model.
 ///
-/// `UnknownNode` is a caller mistake; the remaining variants are injected
-/// hardware faults (see [`Network::set_fault_plan`]) that the transport
-/// retry layer is expected to absorb.
+/// `UnknownNode` is a caller mistake; `Dropped`, `Corrupted` and
+/// `LinkDown` are injected hardware faults (see
+/// [`Network::set_fault_plan`]) that a caller's retry loop — NVMe-oF's
+/// whole-command retry — is expected to absorb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {
@@ -42,7 +43,7 @@ pub enum NetError {
         /// When the link comes back up.
         until: Ns,
     },
-    /// A reliable-delivery retry loop exhausted its attempt budget.
+    /// A retry loop exhausted its attempt budget.
     Exhausted {
         /// Attempts made before giving up.
         attempts: u32,
@@ -72,7 +73,7 @@ struct Node {
     downlink: Link,
 }
 
-/// Utilization observer for one traced delivery: claims the wire windows
+/// Utilization observer for one recorded delivery: claims the wire windows
 /// the message occupies and labels `span`'s queueing edge with the link
 /// that gated it. Every method no-ops while the recorder's utilization
 /// plane is disabled (not even the resource-id string is built).
@@ -187,36 +188,24 @@ impl Network {
         now: Ns,
         bytes: u64,
     ) -> Result<Ns, NetError> {
-        self.deliver_inner(src, dst, now, bytes, None)
+        self.deliver_rec(src, dst, now, bytes, None)
     }
 
-    /// [`Network::deliver`] with utilization instrumentation: the wire
+    /// [`Network::deliver`], recorded when `rec` is given: the wire
     /// windows the message occupies are claimed busy on
     /// `net:uplink:<src>` / `net:downlink:<dst>`, and when the message
-    /// had to wait for a busy wire, `span` (if given) gets a queueing
-    /// edge labeled with the gating link. Timing and fault behavior are
-    /// identical to `deliver`; with the recorder's utilization plane
-    /// disabled this records nothing at all.
-    pub fn deliver_traced(
+    /// had to wait for a busy wire, the paired span (if any) gets a
+    /// queueing edge labeled with the gating link. With the recorder's
+    /// utilization plane disabled this records nothing at all.
+    pub fn deliver_rec(
         &mut self,
         src: NodeId,
         dst: NodeId,
         now: Ns,
         bytes: u64,
-        rec: &mut Recorder,
-        span: Option<SpanId>,
+        rec: Option<(&mut Recorder, Option<SpanId>)>,
     ) -> Result<Ns, NetError> {
-        self.deliver_inner(src, dst, now, bytes, Some(DeliveryObs { rec, span }))
-    }
-
-    fn deliver_inner(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        now: Ns,
-        bytes: u64,
-        mut obs: Option<DeliveryObs<'_>>,
-    ) -> Result<Ns, NetError> {
+        let mut obs = rec.map(|(rec, span)| DeliveryObs { rec, span });
         let wire = wire_bytes_for_message(bytes);
         if src.0 >= self.nodes.len() {
             return Err(NetError::UnknownNode(src.0));

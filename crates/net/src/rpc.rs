@@ -64,13 +64,61 @@ impl RpcChannel {
     pub fn call(
         &mut self,
         net: &mut Network,
-        _method: MethodId,
+        method: MethodId,
         now: Ns,
         req_payload: u64,
         resp_payload: u64,
         server_work: Ns,
     ) -> Result<Delivery, NetError> {
-        let d = self.transport.request(
+        self.call_rec(
+            net,
+            method,
+            now,
+            req_payload,
+            resp_payload,
+            server_work,
+            None,
+        )
+    }
+
+    /// [`RpcChannel::call`] with per-leg telemetry (see
+    /// [`Transport::request_rec`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn call_traced(
+        &mut self,
+        net: &mut Network,
+        method: MethodId,
+        now: Ns,
+        req_payload: u64,
+        resp_payload: u64,
+        server_work: Ns,
+        rec: &mut Recorder,
+    ) -> Result<Delivery, NetError> {
+        self.call_rec(
+            net,
+            method,
+            now,
+            req_payload,
+            resp_payload,
+            server_work,
+            Some(rec),
+        )
+    }
+
+    /// [`RpcChannel::call`], recorded when `rec` is given (see
+    /// [`Transport::request_rec`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn call_rec(
+        &mut self,
+        net: &mut Network,
+        _method: MethodId,
+        now: Ns,
+        req_payload: u64,
+        resp_payload: u64,
+        server_work: Ns,
+        rec: Option<&mut Recorder>,
+    ) -> Result<Delivery, NetError> {
+        let d = self.transport.request_rec(
             net,
             self.client,
             self.server,
@@ -78,6 +126,7 @@ impl RpcChannel {
             req_payload + RPC_FRAMING,
             resp_payload + RPC_FRAMING,
             server_work,
+            rec,
         )?;
         self.counters.bump("calls");
         self.counters.add("rtts", d.wire_rounds);
@@ -101,70 +150,6 @@ impl RpcChannel {
         let mut rounds = 0;
         for _ in 0..n {
             let d = self.call(net, method, now, req_payload, resp_payload, server_work)?;
-            now = d.done;
-            rounds += d.wire_rounds;
-        }
-        Ok(Delivery {
-            done: now,
-            wire_rounds: rounds,
-        })
-    }
-
-    /// [`RpcChannel::call`] with per-leg telemetry (see
-    /// [`Transport::request_traced`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_traced(
-        &mut self,
-        net: &mut Network,
-        _method: MethodId,
-        now: Ns,
-        req_payload: u64,
-        resp_payload: u64,
-        server_work: Ns,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let d = self.transport.request_traced(
-            net,
-            self.client,
-            self.server,
-            now,
-            req_payload + RPC_FRAMING,
-            resp_payload + RPC_FRAMING,
-            server_work,
-            rec,
-        )?;
-        self.counters.bump("calls");
-        self.counters.add("rtts", d.wire_rounds);
-        Ok(d)
-    }
-
-    /// [`RpcChannel::call_chain`] with per-leg telemetry and a per-call
-    /// latency sample under `op` (the E6 pointer-chase breakdown).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_chain_traced(
-        &mut self,
-        net: &mut Network,
-        method: MethodId,
-        mut now: Ns,
-        n: u64,
-        req_payload: u64,
-        resp_payload: u64,
-        server_work: Ns,
-        op: &str,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let mut rounds = 0;
-        for _ in 0..n {
-            let d = self.call_traced(
-                net,
-                method,
-                now,
-                req_payload,
-                resp_payload,
-                server_work,
-                rec,
-            )?;
-            rec.record_op(op, d.done.saturating_sub(now));
             now = d.done;
             rounds += d.wire_rounds;
         }

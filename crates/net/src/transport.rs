@@ -8,7 +8,7 @@
 
 use hyperion_sim::rng::SplitMix64;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder, SpanId};
+use hyperion_telemetry::{Component, Recorder};
 
 use crate::frame::packets_for_message;
 use crate::netsim::{NetError, Network, NodeId};
@@ -118,26 +118,6 @@ impl TransportKind {
             TransportKind::Homa => "homa:request",
         }
     }
-
-    /// Telemetry span label for a reliable (retrying) send.
-    pub fn reliable_label(self) -> &'static str {
-        match self {
-            TransportKind::Udp => "udp:send_reliable",
-            TransportKind::Tcp => "tcp:send_reliable",
-            TransportKind::Rdma => "rdma:send_reliable",
-            TransportKind::Homa => "homa:send_reliable",
-        }
-    }
-
-    /// Telemetry span label for a reliable (retrying) request/response.
-    pub fn reliable_request_label(self) -> &'static str {
-        match self {
-            TransportKind::Udp => "udp:request_reliable",
-            TransportKind::Tcp => "tcp:request_reliable",
-            TransportKind::Rdma => "rdma:request_reliable",
-            TransportKind::Homa => "homa:request_reliable",
-        }
-    }
 }
 
 /// Outcome of a one-way message delivery.
@@ -152,7 +132,8 @@ pub struct Delivery {
 
 /// Retry policy for reliable delivery over a faulty wire: a fixed
 /// attempt budget, a loss-detection timeout, and capped exponential
-/// backoff with deterministic jitter.
+/// backoff with deterministic jitter. The transports themselves do not
+/// retry; NVMe-oF's whole-command retry loop consumes the policy.
 ///
 /// Everything runs on the virtual clock; the jitter for attempt `k` is a
 /// pure function of `(jitter_seed, k)`, so a seeded run replays the same
@@ -202,17 +183,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::DEFAULT
     }
-}
-
-/// Outcome of a reliable (retrying) delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliableDelivery {
-    /// Instant the message is fully processed at the receiver.
-    pub done: Ns,
-    /// Send attempts consumed (1 = no fault on the first try).
-    pub attempts: u32,
-    /// Wire rounds of the successful attempt.
-    pub wire_rounds: u64,
 }
 
 /// A transport instance (stateless; connection state is abstracted into
@@ -287,275 +257,50 @@ impl Transport {
         now: Ns,
         bytes: u64,
     ) -> Result<Delivery, NetError> {
-        self.send_obs(net, from, to, now, bytes, None)
+        self.send_rec(net, from, to, now, bytes, None)
     }
 
-    /// [`Transport::send`] with optional utilization observation: when a
-    /// recorder rides along, the wire windows are claimed busy on the
-    /// links ([`Network::deliver_traced`]) and a busy-wire wait labels
-    /// `span`'s queueing edge. Timing is identical to `send`.
-    fn send_obs(
+    /// [`Transport::send`], recorded when `rec` is given: a `*:send` span
+    /// covering the delivery (endpoint processing + wire + extra rounds).
+    /// When the protocol burns control round trips before the tail of the
+    /// data can land (TCP slow-start windows, Homa's grant round), the
+    /// span gets a queueing edge of that length: the head of the delivery
+    /// was spent waiting on the protocol, not moving payload bytes.
+    ///
+    /// With the recorder's utilization plane enabled the wire windows are
+    /// additionally claimed busy on `net:uplink:<src>` /
+    /// `net:downlink:<dst>`, and a busy-wire wait relabels the span's
+    /// queueing edge with the gating link (the latest resource wait wins).
+    pub fn send_rec(
         &self,
         net: &mut Network,
         from: Endpoint,
         to: Endpoint,
         now: Ns,
         bytes: u64,
-        obs: Option<(&mut Recorder, Option<SpanId>)>,
+        rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
-        let start = now + self.tx_cost(from.kind, bytes);
         let rounds = self.extra_rounds(bytes);
         // Each extra round costs one base RTT of control traffic before
         // the tail of the data lands.
         let round_penalty = net.base_latency(64) * rounds;
-        let arrival = match obs {
-            Some((rec, span)) => net.deliver_traced(from.node, to.node, start, bytes, rec, span)?,
-            None => net.deliver(from.node, to.node, start, bytes)?,
-        };
-        let done = arrival + round_penalty + self.rx_cost(to.kind, bytes);
-        Ok(Delivery {
-            done,
-            wire_rounds: rounds,
-        })
-    }
-
-    /// Sends one message with loss recovery: injected faults
-    /// ([`NetError::Dropped`], [`NetError::Corrupted`],
-    /// [`NetError::LinkDown`]) are retried under `policy` — timeout on a
-    /// silent loss, immediate NACK on corruption, wait-for-carrier on a
-    /// flap — each followed by capped exponential backoff with
-    /// deterministic jitter. Caller mistakes ([`NetError::UnknownNode`])
-    /// are not retried; an exhausted budget returns
-    /// [`NetError::Exhausted`].
-    pub fn send_reliable(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        policy: &RetryPolicy,
-    ) -> Result<ReliableDelivery, NetError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        for attempt in 0..attempts {
-            match self.send(net, from, to, t, bytes) {
-                Ok(d) => {
-                    return Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    })
-                }
-                Err(NetError::Dropped) => {
-                    // Nothing came back: burn the full loss timeout.
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    // The receiver saw the bad checksum and NACKed.
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    // Carrier loss is visible: wait for the link, then
-                    // back off to avoid the post-flap thundering herd.
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => return Err(e),
+        let mut traced = rec.map(|rec| {
+            let span = rec.open(Component::Net, self.kind.send_label(), now);
+            if rounds > 0 {
+                rec.queue_edge(span, now + round_penalty);
             }
-        }
-        Err(NetError::Exhausted { attempts })
-    }
-
-    /// [`Transport::send_reliable`] with telemetry: a `*:send_reliable`
-    /// span covering the whole recovery, a queueing edge at the instant
-    /// the successful attempt finally started (so `critical_path`
-    /// attributes retry waits as queueing, not service), and
-    /// `net:retries` / `net:timeouts` / `net:gave_up` counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_reliable_traced(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        policy: &RetryPolicy,
-        rec: &mut Recorder,
-    ) -> Result<ReliableDelivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.reliable_label(), now);
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        let mut result = Err(NetError::Exhausted { attempts });
-        for attempt in 0..attempts {
-            match self.send_obs(net, from, to, t, bytes, Some((rec, None))) {
-                Ok(d) => {
-                    result = Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    });
-                    break;
-                }
-                Err(NetError::Dropped) => {
-                    rec.bump("net:timeouts");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:drop", t);
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    rec.bump("net:corrupt");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:corrupt", delivered_at);
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    rec.bump("net:link_down");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:flap", t);
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        if t > now {
-            // Recovery time is queueing, not service.
-            rec.queue_edge(span, t);
-        }
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(e) => {
-                if matches!(e, NetError::Exhausted { .. }) {
-                    rec.bump("net:gave_up");
-                }
-                rec.close(span, t.max(now));
-            }
-        }
-        result
-    }
-
-    /// A full request/response exchange with loss recovery: the *whole*
-    /// exchange (request leg, server work, response leg) is retried as a
-    /// unit under `policy` — the RPC idiom, where a client that hears
-    /// nothing back cannot tell which leg was lost and simply re-issues.
-    /// Recovery semantics per fault match [`Transport::send_reliable`];
-    /// an exhausted budget returns [`NetError::Exhausted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_reliable(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        policy: &RetryPolicy,
-    ) -> Result<ReliableDelivery, NetError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        for attempt in 0..attempts {
-            match self.request(net, client, server, t, req_bytes, resp_bytes, server_work) {
-                Ok(d) => {
-                    return Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    })
-                }
-                Err(NetError::Dropped) => {
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NetError::Exhausted { attempts })
-    }
-
-    /// [`Transport::request_reliable`] with telemetry: a
-    /// `*:request_reliable` span covering the whole recovery, a queueing
-    /// edge at the instant the successful attempt started (retry waits
-    /// are queueing, not service), and the same `net:*` counters as
-    /// [`Transport::send_reliable_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_reliable_traced(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        policy: &RetryPolicy,
-        rec: &mut Recorder,
-    ) -> Result<ReliableDelivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.reliable_request_label(), now);
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        let mut result = Err(NetError::Exhausted { attempts });
-        for attempt in 0..attempts {
-            match self.request_obs(
-                net,
-                client,
-                server,
-                t,
-                req_bytes,
-                resp_bytes,
-                server_work,
-                Some(rec),
-            ) {
-                Ok(d) => {
-                    result = Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    });
-                    break;
-                }
-                Err(NetError::Dropped) => {
-                    rec.bump("net:timeouts");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:drop", t);
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    rec.bump("net:corrupt");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:corrupt", delivered_at);
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    rec.bump("net:link_down");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:flap", t);
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        if t > now {
-            rec.queue_edge(span, t);
-        }
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(e) => {
-                if matches!(e, NetError::Exhausted { .. }) {
-                    rec.bump("net:gave_up");
-                }
-                rec.close(span, t.max(now));
-            }
+            (rec, span)
+        });
+        let start = now + self.tx_cost(from.kind, bytes);
+        let obs = traced.as_mut().map(|(rec, span)| (&mut **rec, Some(*span)));
+        let result = net
+            .deliver_rec(from.node, to.node, start, bytes, obs)
+            .map(|arrival| Delivery {
+                done: arrival + round_penalty + self.rx_cost(to.kind, bytes),
+                wire_rounds: rounds,
+            });
+        if let Some((rec, span)) = traced {
+            rec.close(span, result.as_ref().map_or(now, |d| d.done));
         }
         result
     }
@@ -581,7 +326,7 @@ impl Transport {
         resp_bytes: u64,
         server_work: Ns,
     ) -> Result<Delivery, NetError> {
-        self.request_obs(
+        self.request_rec(
             net,
             client,
             server,
@@ -593,10 +338,12 @@ impl Transport {
         )
     }
 
-    /// [`Transport::request`] with optional utilization observation on
-    /// both legs (see [`Transport::send_obs`]). Timing is identical.
+    /// [`Transport::request`], recorded when `rec` is given: a
+    /// `*:request` span covering the whole exchange, nested `*:send`
+    /// spans for each leg (see [`Transport::send_rec`]), and the server
+    /// residency recorded as a [`Component::Service`] hop.
     #[allow(clippy::too_many_arguments)]
-    fn request_obs(
+    pub fn request_rec(
         &self,
         net: &mut Network,
         client: Endpoint,
@@ -607,97 +354,27 @@ impl Transport {
         server_work: Ns,
         mut rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
-        let req = self.send_obs(
-            net,
-            client,
-            server,
-            now,
-            req_bytes,
-            rec.as_deref_mut().map(|r| (r, None)),
-        )?;
-        let served = req.done + server_work;
-        let resp = self.send_obs(
-            net,
-            server,
-            client,
-            served,
-            resp_bytes,
-            rec.map(|r| (r, None)),
-        )?;
-        Ok(Delivery {
-            done: resp.done,
-            wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
-        })
-    }
-
-    /// [`Transport::send`] with a telemetry span covering the delivery
-    /// (endpoint processing + wire + extra rounds). When the protocol
-    /// burns control round trips before the tail of the data can land
-    /// (TCP slow-start windows, Homa's grant round), the span gets a
-    /// queueing edge of that length: the head of the delivery was spent
-    /// waiting on the protocol, not moving payload bytes.
-    ///
-    /// With the recorder's utilization plane enabled the wire windows are
-    /// additionally claimed busy on `net:uplink:<src>` /
-    /// `net:downlink:<dst>`, and a busy-wire wait relabels the span's
-    /// queueing edge with the gating link (the latest resource wait wins).
-    pub fn send_traced(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.send_label(), now);
-        let rounds = self.extra_rounds(bytes);
-        if rounds > 0 {
-            rec.queue_edge(span, now + net.base_latency(64) * rounds);
-        }
-        match self.send_obs(net, from, to, now, bytes, Some((rec, Some(span)))) {
-            Ok(d) => {
-                rec.close(span, d.done);
-                Ok(d)
-            }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Transport::request`] with per-leg telemetry: a `*:request` span
-    /// covering the whole exchange, nested `*:send` spans for each leg,
-    /// and the server residency recorded as a [`Component::Service`] hop.
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_traced(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.request_label(), now);
-        let result = (|| {
-            let req = self.send_traced(net, client, server, now, req_bytes, rec)?;
-            let served = req.done + server_work;
-            if server_work > Ns::ZERO {
-                rec.record_hop(Component::Service, "server:work", req.done, served);
-            }
-            let resp = self.send_traced(net, server, client, served, resp_bytes, rec)?;
-            Ok(Delivery {
-                done: resp.done,
-                wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
-            })
-        })();
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(_) => rec.close(span, now),
+        let span = rec
+            .as_deref_mut()
+            .map(|rec| rec.open(Component::Net, self.kind.request_label(), now));
+        let result = self
+            .send_rec(net, client, server, now, req_bytes, rec.as_deref_mut())
+            .and_then(|req| {
+                let served = req.done + server_work;
+                if let Some(rec) = rec.as_deref_mut() {
+                    if server_work > Ns::ZERO {
+                        rec.record_hop(Component::Service, "server:work", req.done, served);
+                    }
+                }
+                let resp =
+                    self.send_rec(net, server, client, served, resp_bytes, rec.as_deref_mut())?;
+                Ok(Delivery {
+                    done: resp.done,
+                    wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
+                })
+            });
+        if let (Some(rec), Some(span)) = (rec, span) {
+            rec.close(span, result.as_ref().map_or(now, |d| d.done));
         }
         result
     }
@@ -785,146 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_send_recovers_from_drops() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 0.6));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut recovered = 0u32;
-        let mut t = Ns::ZERO;
-        for _ in 0..32 {
-            if let Ok(d) = tr.send_reliable(&mut net, a, b, t, 64, &RetryPolicy::DEFAULT) {
-                if d.attempts > 1 {
-                    recovered += 1;
-                }
-                t = d.done;
-            } else {
-                t += Ns(1_000_000);
-            }
-        }
-        assert!(recovered > 0, "60% loss must force some retries");
-    }
-
-    #[test]
-    fn reliable_send_gives_up_under_total_loss() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::DEFAULT
-        };
-        match tr.send_reliable(&mut net, a, b, Ns::ZERO, 64, &policy) {
-            Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reliable_request_retries_the_whole_exchange() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        // Partition the server for a fixed window; the client's RPC must
-        // survive by re-issuing until the window clears.
-        net.set_fault_plan(FaultPlan::seeded(3).window(
-            &crate::netsim::partition_site(b.node),
-            Ns(0),
-            Ns(150_000),
-        ));
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            ..RetryPolicy::DEFAULT
-        };
-        let d = tr
-            .request_reliable(&mut net, a, b, Ns::ZERO, 64, 64, Ns(1_000), &policy)
-            .unwrap();
-        assert!(d.attempts > 1, "must have retried through the partition");
-        assert!(d.done > Ns(150_000), "cannot finish inside the window");
-        // Determinism: replay is bit-identical.
-        let (mut net2, a2, b2) = pair(EndpointKind::Hardware);
-        net2.set_fault_plan(FaultPlan::seeded(3).window(
-            &crate::netsim::partition_site(b2.node),
-            Ns(0),
-            Ns(150_000),
-        ));
-        let d2 = tr
-            .request_reliable(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns(1_000), &policy)
-            .unwrap();
-        assert_eq!(d, d2);
-    }
-
-    #[test]
-    fn reliable_request_gives_up_when_the_partition_outlasts_the_budget() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(
-            FaultPlan::seeded(3).from_instant(&crate::netsim::partition_site(b.node), Ns::ZERO),
-        );
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::DEFAULT
-        };
-        match tr.request_reliable(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, &policy) {
-            Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn traced_reliable_request_counts_and_marks_queue_edge() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(
-            FaultPlan::seeded(3).from_instant(&crate::netsim::partition_site(b.node), Ns::ZERO),
-        );
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("t");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let r = tr.request_reliable_traced(
-            &mut net,
-            a,
-            b,
-            Ns::ZERO,
-            64,
-            64,
-            Ns::ZERO,
-            &policy,
-            &mut rec,
-        );
-        assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
-        assert_eq!(rec.counter("net:retries"), 2);
-        assert_eq!(rec.counter("net:gave_up"), 1);
-        assert_eq!(rec.queue_edges().len(), 1);
-        assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
-    fn traced_reliable_send_counts_and_marks_queue_edge() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("t");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let r = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, &mut rec);
-        assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
-        assert_eq!(rec.counter("net:retries"), 2);
-        assert_eq!(rec.counter("net:timeouts"), 2);
-        assert_eq!(rec.counter("net:gave_up"), 1);
-        assert_eq!(rec.queue_edges().len(), 1);
-        assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
     fn traced_send_claims_links_and_labels_incast_waits() {
         // Two senders incast into one sink: the second send queues on the
         // sink's downlink and its span edge must carry that link's id.
@@ -935,8 +472,8 @@ mod tests {
         let tr = Transport::new(TransportKind::Udp);
         let mut rec = Recorder::new("incast");
         rec.enable_util();
-        let a = tr.send_traced(&mut net, s1, sink, Ns::ZERO, 1 << 20, &mut rec);
-        let b = tr.send_traced(&mut net, s2, sink, Ns::ZERO, 1 << 20, &mut rec);
+        let a = tr.send_rec(&mut net, s1, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
+        let b = tr.send_rec(&mut net, s2, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(b.done > a.done);
         for id in ["net:uplink:1", "net:uplink:2", "net:downlink:0"] {
@@ -965,22 +502,6 @@ mod tests {
             tr.send(&mut plain, p2, p_sink, Ns::ZERO, 1 << 20).unwrap(),
             b
         );
-    }
-
-    #[test]
-    fn traced_fault_arms_leave_instants() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("instants");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let _ = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, &mut rec);
-        assert_eq!(rec.instants().len(), 2);
-        assert!(rec.instants().iter().all(|(n, _)| n == "fault:net:drop"));
     }
 
     #[test]

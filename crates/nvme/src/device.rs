@@ -117,7 +117,7 @@ pub enum Response {
 }
 
 /// A completed command: payload plus the completion instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
     /// Result payload.
     pub response: Response,
@@ -217,6 +217,16 @@ pub const FAULT_NVME_MEDIA_READ: &str = "nvme:media_read";
 /// Fault site: a command's completion is delayed by an internal pause
 /// (GC, thermal throttle) with the configured probability.
 pub const FAULT_NVME_LATENCY_SPIKE: &str = "nvme:latency_spike";
+
+/// Device recovery counters a recorded submit exports, as `nvme:<name>`,
+/// when the command moved them.
+const RECOVERY_COUNTERS: [&str; 5] = [
+    "media_errors",
+    "read_retries",
+    "remaps",
+    "latency_spikes",
+    "media_failures",
+];
 
 impl NvmeDevice {
     /// Creates a conventional block-namespace SSD.
@@ -351,94 +361,87 @@ impl NvmeDevice {
     /// are applied synchronously (the simulated completion instant tells
     /// callers when they become visible).
     pub fn submit(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
-        self.outstanding.retain(|&d| d > now);
-        let mut completion = self.execute(cmd, now)?;
-        if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
-            // Internal pause (GC, thermal throttle): the command
-            // completes, late.
-            completion.done += params::READ_LATENCY * 8;
-            self.counters.bump("latency_spikes");
-        }
-        self.outstanding.push(completion.done);
-        Ok(completion)
+        self.submit_rec(cmd, now, None)
     }
 
-    /// [`NvmeDevice::submit`] with a telemetry span over the command and a
-    /// queue-depth gauge sampled at submission. Page-addressed commands
-    /// whose target die is busy get a queueing edge on the span, so the
-    /// critical-path analyzer can split die contention from media time.
-    pub fn submit_traced(
+    /// [`NvmeDevice::submit`], recorded when `rec` is given: a span over
+    /// the command and a queue-depth gauge sampled at submission.
+    /// Page-addressed commands whose target die is busy get a queueing
+    /// edge on the span, so the critical-path analyzer can split die
+    /// contention from media time. Recovery work the command triggered
+    /// (media errors, read retries, remaps, latency spikes) lands as
+    /// `nvme:*` counters plus a `fault:nvme:*` instant each.
+    ///
+    /// With the utilization plane enabled, the flash channel and die
+    /// windows the command occupied are claimed busy (`nvme:ch<n>`,
+    /// `nvme:die<n>`), submission-queue depth is sampled on `nvme:sq`, and
+    /// the die queueing edge carries the die as its label.
+    pub fn submit_rec(
         &mut self,
         cmd: Command,
         now: Ns,
-        rec: &mut Recorder,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<Completion, NvmeError> {
-        rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
-        let util = rec.util_enabled();
-        let span = rec.open(Component::Nvme, cmd.label(), now);
-        // The command reaches the flash after controller overhead; only
-        // LBA-addressed ops map to a die we can query up front.
-        if let Command::Read { lba, .. } | Command::Write { lba, .. } = &cmd {
-            let arrive = now + params::CONTROLLER_OVERHEAD;
-            let page = Self::page_of(*lba);
-            let wait = self.flash.queue_wait(page, arrive);
-            if wait > Ns::ZERO {
-                if util {
-                    let (_, die) = self.flash.placement(page);
-                    rec.queue_edge_labeled(span, arrive + wait, &format!("nvme:die{die}"));
-                } else {
-                    rec.queue_edge(span, arrive + wait);
+        let trace = rec.as_deref_mut().map(|rec| {
+            rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
+            let util = rec.util_enabled();
+            let span = rec.open(Component::Nvme, cmd.label(), now);
+            // The command reaches the flash after controller overhead;
+            // only LBA-addressed ops map to a die we can query up front.
+            if let Command::Read { lba, .. } | Command::Write { lba, .. } = &cmd {
+                let arrive = now + params::CONTROLLER_OVERHEAD;
+                let page = Self::page_of(*lba);
+                let wait = self.flash.queue_wait(page, arrive);
+                if wait > Ns::ZERO {
+                    if util {
+                        let (_, die) = self.flash.placement(page);
+                        rec.queue_edge_labeled(span, arrive + wait, &format!("nvme:die{die}"));
+                    } else {
+                        rec.queue_edge(span, arrive + wait);
+                    }
                 }
             }
-        }
-        if util {
-            rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
-            self.flash.begin_trace();
-        }
-        let recovery_before = [
-            self.counters.get("media_errors"),
-            self.counters.get("read_retries"),
-            self.counters.get("remaps"),
-            self.counters.get("latency_spikes"),
-            self.counters.get("media_failures"),
-        ];
-        let result = self.submit(cmd, now);
-        if util {
-            for c in self.flash.end_trace() {
-                let id = if c.channel {
-                    format!("nvme:ch{}", c.index)
-                } else {
-                    format!("nvme:die{}", c.index)
-                };
-                rec.claim_busy(&id, c.start, c.end);
+            if util {
+                rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
+                self.flash.begin_trace();
             }
-        }
-        for (name, before) in [
-            "nvme:media_errors",
-            "nvme:read_retries",
-            "nvme:remaps",
-            "nvme:latency_spikes",
-            "nvme:media_failures",
-        ]
-        .into_iter()
-        .zip(recovery_before)
-        {
-            let after = self.counters.get(name.trim_start_matches("nvme:"));
-            if after > before {
-                rec.count(name, after - before);
-                rec.instant(&format!("fault:{name}"), now);
+            let recovery_before = RECOVERY_COUNTERS.map(|name| self.counters.get(name));
+            (span, util, recovery_before)
+        });
+        self.outstanding.retain(|&d| d > now);
+        let result = self.execute(cmd, now).map(|mut completion| {
+            if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
+                // Internal pause (GC, thermal throttle): the command
+                // completes, late.
+                completion.done += params::READ_LATENCY * 8;
+                self.counters.bump("latency_spikes");
             }
-        }
-        match result {
-            Ok(c) => {
-                rec.close(span, c.done);
-                Ok(c)
+            self.outstanding.push(completion.done);
+            completion
+        });
+        if let (Some(rec), Some((span, util, recovery_before))) = (rec, trace) {
+            if util {
+                for c in self.flash.end_trace() {
+                    let id = if c.channel {
+                        format!("nvme:ch{}", c.index)
+                    } else {
+                        format!("nvme:die{}", c.index)
+                    };
+                    rec.claim_busy(&id, c.start, c.end);
+                }
             }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
+            for (name, before) in RECOVERY_COUNTERS.into_iter().zip(recovery_before) {
+                let after = self.counters.get(name);
+                if after > before {
+                    let name = format!("nvme:{name}");
+                    rec.count(&name, after - before);
+                    rec.instant(&format!("fault:{name}"), now);
+                }
             }
+            let end = result.as_ref().map_or(now, |c| c.done);
+            rec.close(span, end);
         }
+        result
     }
 
     fn execute(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
@@ -986,12 +989,20 @@ mod tests {
         let mut rec = Recorder::new("nvme-util");
         rec.enable_util();
         let a = d
-            .submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
+            .submit_rec(
+                Command::Read { lba: 0, blocks: 1 },
+                Ns::ZERO,
+                Some(&mut rec),
+            )
             .unwrap();
         // Same page again at t=0: queues on the same die, so the second
         // span's queueing edge must blame that die.
         let b = d
-            .submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
+            .submit_rec(
+                Command::Read { lba: 0, blocks: 1 },
+                Ns::ZERO,
+                Some(&mut rec),
+            )
             .unwrap();
         assert!(b.done > a.done);
         let die = rec.util().resource("nvme:die0").expect("die claimed");
@@ -1024,11 +1035,75 @@ mod tests {
             clean + Ns(1),
         ));
         let mut rec = Recorder::new("nvme-faults");
-        d2.submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
-            .unwrap();
+        d2.submit_rec(
+            Command::Read { lba: 0, blocks: 1 },
+            Ns::ZERO,
+            Some(&mut rec),
+        )
+        .unwrap();
         let names: Vec<&str> = rec.instants().iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"fault:nvme:media_errors"));
         assert!(names.contains(&"fault:nvme:remaps"));
+    }
+
+    #[test]
+    fn recorded_submit_agrees_with_plain_under_faults() {
+        // One seeded plan, two fresh devices: recording must not move a
+        // single completion, error, counter or flash op, including on the
+        // media-error, remap and latency-spike branches.
+        let run = |rec: Option<&mut Recorder>| {
+            let mut d = NvmeDevice::new_block(1 << 20);
+            d.set_fault_plan(
+                FaultPlan::seeded(9)
+                    .bernoulli(FAULT_NVME_MEDIA_READ, 0.4)
+                    .bernoulli(FAULT_NVME_LATENCY_SPIKE, 0.2),
+            );
+            let mut rec = rec;
+            let mut out = Vec::new();
+            let mut t = Ns::ZERO;
+            for i in 0..64u64 {
+                let cmd = if i % 4 == 3 {
+                    Command::Write {
+                        lba: i,
+                        data: lba_data(i as u8, 1),
+                    }
+                } else {
+                    Command::Read {
+                        lba: (i * 8) % 256,
+                        blocks: 2,
+                    }
+                };
+                let r = d.submit_rec(cmd, t, rec.as_deref_mut());
+                t += Ns(5_000);
+                out.push(r);
+            }
+            let counters: Vec<(&str, u64)> = d.counters.iter().collect();
+            (
+                out,
+                counters,
+                d.flash_ops(),
+                d.remapped_lbas(),
+                d.energy.total(),
+            )
+        };
+        let plain = run(None);
+        let mut rec = Recorder::new("nvme-faults");
+        rec.enable_util();
+        let recorded = run(Some(&mut rec));
+        assert_eq!(plain, recorded);
+        let (out, counters, ..) = &plain;
+        let count = |name: &str| counters.iter().find(|(n, _)| *n == name).map_or(0, |c| c.1);
+        assert!(
+            count("remaps") > 0 && count("latency_spikes") > 0,
+            "{counters:?}"
+        );
+        assert!(out
+            .iter()
+            .any(|r| matches!(r, Err(NvmeError::MediaError { .. }))));
+        assert_eq!(rec.counter("nvme:remaps"), count("remaps"));
+        assert_eq!(rec.counter("nvme:latency_spikes"), count("latency_spikes"));
+        assert_eq!(rec.counter("nvme:media_failures"), count("media_failures"));
+        assert_eq!(rec.open_spans(), 0);
     }
 
     #[test]

@@ -126,51 +126,42 @@ impl PcieLink {
     /// Transfers `bytes` across the link starting no earlier than `now`,
     /// returning the completion instant (includes one hop latency).
     pub fn transfer(&mut self, now: Ns, bytes: u64) -> Ns {
-        let start = self.release_after_retrain(now);
-        let svc = serialization_delay(bytes, self.bandwidth_bps());
-        self.wire.access(start, svc) + HOP_LATENCY
+        self.transfer_rec(now, bytes, None)
     }
 
-    /// Queue wait a transfer issued at `now` would see before its TLPs
-    /// start moving (zero when the link is idle).
-    pub fn queue_wait(&self, now: Ns) -> Ns {
-        self.wire.earliest_start(now).saturating_sub(now)
-    }
-
-    /// [`PcieLink::transfer`] with a telemetry span covering queueing,
-    /// serialization, and the hop latency, plus a link queue-wait gauge.
-    /// A non-zero queue wait becomes a queueing edge on the span, so the
+    /// [`PcieLink::transfer`], recorded when `rec` is given: a span
+    /// covering queueing, serialization, and the hop latency, plus a link
+    /// queue-wait gauge. Time the TLPs could not move — the link busy or
+    /// retraining — becomes a queueing edge on the span, so the
     /// critical-path analyzer can split link occupancy from service.
     ///
     /// With the utilization plane enabled the serialization window is
-    /// claimed busy on `pcie:<link>`, the queueing edge carries that
-    /// resource as its label, and a retrain stall leaves a
-    /// `fault:pcie:retrain` instant — all no-ops otherwise.
-    pub fn transfer_traced(&mut self, now: Ns, bytes: u64, rec: &mut Recorder) -> Ns {
-        // Resolve the retrain stall first so the queue-wait gauge and the
-        // queueing edge both cover time the TLPs could not move, whether
-        // the link was busy or retraining.
+    /// claimed busy on `pcie:<link>` and the queueing edge carries that
+    /// resource as its label. A retrain stall leaves a
+    /// `fault:pcie:retrain` instant.
+    pub fn transfer_rec(&mut self, now: Ns, bytes: u64, rec: Option<&mut Recorder>) -> Ns {
         let start = self.release_after_retrain(now);
-        if start > now {
-            rec.bump("pcie:retrain_stalls");
-            rec.instant("fault:pcie:retrain", now);
-        }
-        let ready = start + self.queue_wait(start);
-        rec.gauge("pcie:link_queue_wait_ns", (ready - now).0);
-        let span = rec.open(Component::Pcie, self.wire.name(), now);
         let svc = serialization_delay(bytes, self.bandwidth_bps());
-        let (ser_start, ser_end) = self.wire.access_interval(start, svc);
+        let (ready, ser_end) = self.wire.access_interval(start, svc);
         let done = ser_end + HOP_LATENCY;
-        if rec.util_enabled() {
-            let id = format!("pcie:{}", self.wire.name());
-            rec.claim_busy(&id, ser_start, ser_end);
-            if ready > now {
-                rec.queue_edge_labeled(span, ready, &id);
+        if let Some(rec) = rec {
+            if start > now {
+                rec.bump("pcie:retrain_stalls");
+                rec.instant("fault:pcie:retrain", now);
             }
-        } else if ready > now {
-            rec.queue_edge(span, ready);
+            rec.gauge("pcie:link_queue_wait_ns", (ready - now).0);
+            let span = rec.open(Component::Pcie, self.wire.name(), now);
+            if rec.util_enabled() {
+                let id = format!("pcie:{}", self.wire.name());
+                rec.claim_busy(&id, ready, ser_end);
+                if ready > now {
+                    rec.queue_edge_labeled(span, ready, &id);
+                }
+            } else if ready > now {
+                rec.queue_edge(span, ready);
+            }
+            rec.close(span, done);
         }
-        rec.close(span, done);
         done
     }
 }
@@ -187,17 +178,6 @@ pub enum DmaRoute {
     /// Classic path: device→host DRAM→device; two DMA transfers, one
     /// bounce buffer copy, CPU coordinates both halves.
     HostBounce,
-}
-
-impl DmaRoute {
-    /// Telemetry span label for a DMA over this route.
-    pub fn label(self) -> &'static str {
-        match self {
-            DmaRoute::FpgaDirect => "dma:direct",
-            DmaRoute::HostP2p => "dma:p2p",
-            DmaRoute::HostBounce => "dma:bounce",
-        }
-    }
 }
 
 /// A root complex with attached links, routing transfers and accounting
@@ -275,39 +255,6 @@ impl RootComplex {
                 dst.transfer(setup2, bytes)
             }
         }
-    }
-
-    /// [`RootComplex::dma`] with telemetry: one [`Component::Pcie`] span
-    /// over the transfer and, for host-mediated routes, the CPU's
-    /// doorbell/coordination time attributed to [`Component::Host`].
-    pub fn dma_traced(
-        &mut self,
-        route: DmaRoute,
-        src: &mut PcieLink,
-        dst: &mut PcieLink,
-        now: Ns,
-        bytes: u64,
-        rec: &mut Recorder,
-    ) -> Ns {
-        let span = rec.open(Component::Pcie, route.label(), now);
-        let done = self.dma(route, src, dst, now, bytes);
-        rec.close(span, done);
-        match route {
-            DmaRoute::FpgaDirect => {}
-            DmaRoute::HostP2p => {
-                rec.record_hop(Component::Host, "dma:doorbell", now, now + HOST_DOORBELL);
-            }
-            DmaRoute::HostBounce => {
-                // Two doorbells plus the staging copy's residency in host
-                // DRAM; the copy interval is bounded below by the pure
-                // serialization time through the bounce buffer.
-                rec.record_hop(Component::Host, "dma:doorbell", now, now + HOST_DOORBELL);
-                rec.record_hop(Component::Host, "dma:doorbell", now, now + HOST_DOORBELL);
-                let copy = serialization_delay(bytes, HOST_DRAM_BPS);
-                rec.record_hop(Component::Host, "dma:dram_copy", now, now + copy);
-            }
-        }
-        done
     }
 }
 
@@ -425,13 +372,41 @@ mod tests {
     }
 
     #[test]
+    fn recorded_transfer_agrees_with_plain_under_retrains() {
+        use hyperion_sim::fault::FaultPlan;
+        use hyperion_telemetry::Recorder;
+        // One seeded plan (Bernoulli retrains plus a scheduled window),
+        // two fresh links: recording must not move a completion or a stall.
+        let run = |mut rec: Option<&mut Recorder>| {
+            let mut l = PcieLink::new("l", PcieGen::Gen3, 4);
+            l.set_fault_plan(
+                FaultPlan::seeded(5)
+                    .bernoulli(FAULT_PCIE_RETRAIN, 0.3)
+                    .window(FAULT_PCIE_RETRAIN, Ns(200_000), Ns(260_000)),
+            );
+            let done: Vec<Ns> = (0..48u64)
+                .map(|i| l.transfer_rec(Ns(i * 7_000), 16 * 1024, rec.as_deref_mut()))
+                .collect();
+            (done, l.retrain_stalls())
+        };
+        let plain = run(None);
+        let mut rec = Recorder::new("pcie");
+        rec.enable_util();
+        let recorded = run(Some(&mut rec));
+        assert_eq!(plain, recorded);
+        assert!(plain.1 > 1, "the plan must stall some transfers");
+        assert_eq!(rec.counter("pcie:retrain_stalls"), plain.1);
+        assert_eq!(rec.open_spans(), 0);
+    }
+
+    #[test]
     fn traced_retrain_counts_and_marks_queue_edge() {
         use hyperion_sim::fault::FaultPlan;
         use hyperion_telemetry::Recorder;
         let mut l = PcieLink::new("l", PcieGen::Gen3, 4);
         l.set_fault_plan(FaultPlan::seeded(7).window(FAULT_PCIE_RETRAIN, Ns::ZERO, Ns(30_000)));
         let mut rec = Recorder::new("pcie");
-        let done = l.transfer_traced(Ns::ZERO, 4096, &mut rec);
+        let done = l.transfer_rec(Ns::ZERO, 4096, Some(&mut rec));
         assert!(done > Ns(30_000));
         assert_eq!(rec.counter("pcie:retrain_stalls"), 1);
         assert_eq!(rec.queue_edges().len(), 1, "stall must be a queue edge");
@@ -444,8 +419,8 @@ mod tests {
         let mut rec = Recorder::new("pcie-util");
         rec.enable_util();
         // Two back-to-back transfers: the second queues on the wire.
-        let a = l.transfer_traced(Ns::ZERO, 64 * 1024, &mut rec);
-        let b = l.transfer_traced(Ns::ZERO, 64 * 1024, &mut rec);
+        let a = l.transfer_rec(Ns::ZERO, 64 * 1024, Some(&mut rec));
+        let b = l.transfer_rec(Ns::ZERO, 64 * 1024, Some(&mut rec));
         assert!(b > a);
         let r = rec.util().resource("pcie:pcie-x4-0").expect("claimed");
         assert_eq!(r.claims(), 2);

@@ -8,8 +8,6 @@
 //! * [`time`] — the `Ns` virtual-time newtype and serialization math;
 //! * [`resource`] — k-server FIFO timelines and bandwidth links, the
 //!   composition-friendly queueing primitive;
-//! * [`des`] — a deterministic discrete-event engine for components that
-//!   need genuine interleaving;
 //! * [`rng`] — seeded SplitMix64/Xoshiro256** generators and a Zipf
 //!   sampler, so timelines are reproducible bit-for-bit;
 //! * [`fault`] — seeded, virtual-clock-scheduled fault injection
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod des;
 pub mod energy;
 pub mod fault;
 pub mod resource;

@@ -456,12 +456,6 @@ impl Recorder {
             .sum()
     }
 
-    /// Total virtual time across all hops (double-counts nested spans by
-    /// design: each hop reports its own occupancy).
-    pub fn total_hop_time(&self) -> Ns {
-        Ns(self.hops.iter().map(|(.., t, _)| t.0).sum())
-    }
-
     /// Merges another recorder's aggregates into this one (span trees are
     /// concatenated up to the retention bound; open stacks must be empty).
     ///
@@ -658,17 +652,17 @@ mod tests {
     #[test]
     fn counters_accumulate_and_merge() {
         let mut a = Recorder::new("a");
-        a.bump("net:retry");
-        a.count("net:retry", 2);
-        a.bump("nvme:media_error");
-        assert_eq!(a.counter("net:retry"), 3);
+        a.bump("nvmeof:retries");
+        a.count("nvmeof:retries", 2);
+        a.bump("nvme:media_errors");
+        assert_eq!(a.counter("nvmeof:retries"), 3);
         assert_eq!(a.counter("never"), 0);
         let mut b = Recorder::new("b");
-        b.count("net:retry", 4);
-        b.bump("net:gave_up");
+        b.count("nvmeof:retries", 4);
+        b.bump("nvmeof:gave_up");
         a.merge(&b);
-        assert_eq!(a.counter("net:retry"), 7);
-        assert_eq!(a.counter("net:gave_up"), 1);
+        assert_eq!(a.counter("nvmeof:retries"), 7);
+        assert_eq!(a.counter("nvmeof:gave_up"), 1);
         assert_eq!(a.counters().count(), 3);
     }
 

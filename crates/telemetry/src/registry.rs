@@ -22,12 +22,6 @@ pub const COUNTERS: &[&str] = &[
     "cluster:suspicions",
     // corfu:* — shared-log repair (core::cluster failover).
     "corfu:repaired_positions",
-    // net:* — transport retry machinery (net::transport).
-    "net:corrupt",
-    "net:gave_up",
-    "net:link_down",
-    "net:retries",
-    "net:timeouts",
     // nvme:* — device recovery (nvme::device).
     "nvme:latency_spikes",
     "nvme:media_errors",
@@ -48,7 +42,11 @@ pub const COUNTERS: &[&str] = &[
 ];
 
 /// Every gauge name the instrumented layers may sample.
-pub const GAUGES: &[&str] = &["nvme:queue_depth", "pcie:link_queue_wait_ns"];
+pub const GAUGES: &[&str] = &[
+    "fabric:slots_occupied",
+    "nvme:queue_depth",
+    "pcie:link_queue_wait_ns",
+];
 
 /// Whether `name` is a registered counter.
 pub fn is_registered_counter(name: &str) -> bool {
@@ -97,8 +95,8 @@ mod tests {
 
     #[test]
     fn membership_checks() {
-        assert!(is_registered_counter("net:retries"));
-        assert!(!is_registered_counter("net:retrys"));
+        assert!(is_registered_counter("nvmeof:retries"));
+        assert!(!is_registered_counter("nvmeof:retrys"));
         assert!(is_registered_gauge("nvme:queue_depth"));
         assert!(!is_registered_gauge("nvme:depth"));
     }

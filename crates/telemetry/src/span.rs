@@ -72,7 +72,7 @@ impl SpanId {
 /// a component, nested under the span that was open when it started.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Hop label (e.g. `"udp:request"`, `"dma:direct"`, `"kv.put"`).
+    /// Hop label (e.g. `"udp:request"`, `"nvme:read"`, `"kv.put"`).
     pub name: &'static str,
     /// Component the interval attributes to.
     pub component: Component,

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, and the full test suite.
+# Pre-merge gate: formatting, lints, the benchmark build, and the full
+# test suite.
 #
 # Run from the repository root:
 #   ./scripts/check.sh
@@ -11,6 +12,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> benchmark build (perfbench/ against the changed crates)"
+# perfbench/ is a workspace of its own with path dependencies on crates/,
+# so a public-API change that breaks the benchmark fails here, before
+# merge. Same target directory as perfbench/run.py uses by default.
+CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test"
 cargo test --workspace -q
