@@ -31,10 +31,122 @@ pub struct BackendId(pub u32);
 /// Spill records per flash page (16-byte records into a 4 KiB page).
 pub const SPILL_BATCH: usize = 256;
 
+/// The "no slot" link of an [`Lru`] list end.
+const NIL: u32 = u32::MAX;
+
+/// One DRAM-resident flow in the [`Lru`] list.
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    flow: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// LRU order over the DRAM-resident flows: an intrusive doubly-linked
+/// list threaded through a slab, head = coldest. A flow's slot is stored
+/// in its [`Residence::Dram`], so a hit re-links it in O(1); evicted
+/// slots are reused, so the slab never outgrows the DRAM table.
+#[derive(Debug)]
+struct Lru {
+    nodes: Vec<LruNode>,
+    /// Slots of evicted entries, reused before the slab grows.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl Lru {
+    fn new() -> Lru {
+        Lru {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Appends `flow` as the most recently used entry; returns its slot.
+    fn push_back(&mut self, flow: u64) -> u32 {
+        let node = LruNode {
+            flow,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("LRU slab exceeds u32 slots");
+                self.nodes.push(node);
+                slot
+            }
+        };
+        self.link_back(slot);
+        slot
+    }
+
+    /// Marks the entry at `slot` as the most recently used.
+    fn move_to_back(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_back(slot);
+        }
+    }
+
+    /// Removes the least recently used entry and frees its slot.
+    fn pop_front(&mut self) -> Option<u64> {
+        if self.head == NIL {
+            return None;
+        }
+        let slot = self.head;
+        self.unlink(slot);
+        self.free.push(slot);
+        Some(self.nodes[slot as usize].flow)
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let LruNode { prev, next, .. } = self.nodes[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
+        }
+    }
+
+    fn link_back(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        if self.tail == NIL {
+            self.head = slot;
+        } else {
+            self.nodes[self.tail as usize].next = slot;
+        }
+        self.tail = slot;
+    }
+}
+
 /// Where a flow's state lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Residence {
-    Dram,
+    /// In fabric DRAM, at `slot` of the LRU list.
+    Dram {
+        slot: u32,
+    },
     /// Evicted but still in the spill write buffer (not yet on flash).
     Staged,
     Flash {
@@ -49,8 +161,8 @@ pub struct LoadBalancer {
     dram_capacity: usize,
     /// flow hash -> (backend, residence).
     table: HashMap<u64, (BackendId, Residence)>,
-    /// LRU order for spill decisions (front = coldest).
-    lru: std::collections::VecDeque<u64>,
+    /// LRU order for spill decisions (head = coldest).
+    lru: Lru,
     spill: NvmeDevice,
     spill_cursor: u64,
     /// Flows evicted into the current (unflushed) spill page.
@@ -92,7 +204,7 @@ impl LoadBalancer {
             backends,
             dram_capacity,
             table: HashMap::new(),
-            lru: std::collections::VecDeque::new(),
+            lru: Lru::new(),
             spill: NvmeDevice::new_block(spill_lbas),
             spill_cursor: 0,
             staging: Vec::with_capacity(spill_batch),
@@ -128,20 +240,13 @@ impl LoadBalancer {
         self.table.len()
     }
 
-    fn touch_lru(&mut self, flow: u64) {
-        if let Some(pos) = self.lru.iter().position(|&f| f == flow) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(flow);
-    }
-
     /// Spills the coldest DRAM entry. Records accumulate in a write
     /// buffer and flush as one flash page per [`SPILL_BATCH`] evictions,
     /// asynchronously — Tiara-style state offload happens off the packet
     /// path, so the triggering packet never stalls on tProg.
-    fn spill_coldest(&mut self, now: Ns) -> Ns {
+    fn spill_coldest(&mut self, now: Ns) {
         let Some(victim) = self.lru.pop_front() else {
-            return now;
+            return;
         };
         self.counters.bump("spills");
         let entry = self.table.get_mut(&victim).expect("victim is tracked");
@@ -150,7 +255,16 @@ impl LoadBalancer {
         if self.staging.len() >= self.spill_batch.min(SPILL_BATCH) {
             self.flush_staging(now);
         }
-        now
+    }
+
+    /// Installs `flow` in DRAM as the most recently used entry at `now`,
+    /// spilling the coldest entry first when the table is full.
+    fn install_dram(&mut self, flow: u64, backend: BackendId, now: Ns) {
+        if self.lru.len() >= self.dram_capacity {
+            self.spill_coldest(now);
+        }
+        let slot = self.lru.push_back(flow);
+        self.table.insert(flow, (backend, Residence::Dram { slot }));
     }
 
     /// Writes the staging buffer as one page and marks its flows
@@ -193,9 +307,9 @@ impl LoadBalancer {
     pub fn steer(&mut self, flow: u64, now: Ns) -> (BackendId, Ns) {
         let t = now + PIPELINE_WORK;
         match self.table.get(&flow).copied() {
-            Some((backend, Residence::Dram)) => {
+            Some((backend, Residence::Dram { slot })) => {
                 self.counters.bump("hits_dram");
-                self.touch_lru(flow);
+                self.lru.move_to_back(slot);
                 (backend, t + DRAM_LOOKUP)
             }
             Some((backend, Residence::Staged)) => {
@@ -204,12 +318,8 @@ impl LoadBalancer {
                 if let Some(pos) = self.staging.iter().position(|&f| f == flow) {
                     self.staging.remove(pos);
                 }
-                let mut t = t + DRAM_LOOKUP;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
+                let t = t + DRAM_LOOKUP;
+                self.install_dram(flow, backend, t);
                 (backend, t)
             }
             Some((backend, Residence::Flash { lba })) => {
@@ -221,23 +331,14 @@ impl LoadBalancer {
                     .submit(Command::Read { lba, blocks: 1 }, t)
                     .expect("spill read");
                 debug_assert!(matches!(c.response, Response::Data(_)));
-                let mut t = c.done;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
-                (backend, t)
+                self.install_dram(flow, backend, c.done);
+                (backend, c.done)
             }
             None => {
                 self.counters.bump("new_flows");
                 let backend = self.choose_backend(flow);
-                let mut t = t + DRAM_LOOKUP;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
+                let t = t + DRAM_LOOKUP;
+                self.install_dram(flow, backend, t);
                 (backend, t)
             }
         }
@@ -247,6 +348,232 @@ impl LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// Walks the list head to tail, checking the back links on the way.
+    fn order(lru: &Lru) -> Vec<u64> {
+        let mut out = Vec::new();
+        let (mut prev, mut slot) = (NIL, lru.head);
+        while slot != NIL {
+            let node = lru.nodes[slot as usize];
+            assert_eq!(node.prev, prev, "back link of slot {slot}");
+            out.push(node.flow);
+            (prev, slot) = (slot, node.next);
+        }
+        assert_eq!(lru.tail, prev);
+        assert_eq!(lru.len(), out.len());
+        out
+    }
+
+    #[test]
+    fn lru_reuses_evicted_slots() {
+        let mut lru = Lru::new();
+        let slots: Vec<u32> = [10, 11, 12].map(|f| lru.push_back(f)).to_vec();
+        assert_eq!(slots, [0, 1, 2]);
+        assert_eq!(lru.pop_front(), Some(10));
+        assert_eq!(lru.push_back(13), 0, "the evicted head's slot");
+        assert_eq!(lru.pop_front(), Some(11));
+        assert_eq!(lru.pop_front(), Some(12));
+        assert_eq!(lru.push_back(14), 2);
+        assert_eq!(lru.push_back(15), 1);
+        assert_eq!(lru.nodes.len(), 3, "the slab never grew past three");
+        assert_eq!(order(&lru), [13, 14, 15]);
+    }
+
+    #[test]
+    fn lru_move_to_back_at_head_tail_and_alone() {
+        let mut lru = Lru::new();
+        let a = lru.push_back(1);
+        lru.move_to_back(a);
+        assert_eq!(order(&lru), [1], "single element");
+        let b = lru.push_back(2);
+        let c = lru.push_back(3);
+        lru.move_to_back(a);
+        assert_eq!(order(&lru), [2, 3, 1], "head");
+        lru.move_to_back(a);
+        assert_eq!(order(&lru), [2, 3, 1], "tail");
+        lru.move_to_back(c);
+        assert_eq!(order(&lru), [2, 1, 3], "middle");
+        lru.move_to_back(b);
+        assert_eq!(order(&lru), [1, 3, 2]);
+        assert_eq!(lru.pop_front(), Some(1));
+        assert_eq!(lru.pop_front(), Some(3));
+        assert_eq!(lru.pop_front(), Some(2));
+        assert_eq!(lru.pop_front(), None);
+        assert_eq!(order(&lru), []);
+    }
+
+    /// Where a flow lives in [`Reference`].
+    #[derive(Debug, Clone, Copy)]
+    enum RefResidence {
+        Dram,
+        Staged,
+        Flash(u64),
+    }
+
+    /// The balancer's spill policy restated naively: a `VecDeque` LRU
+    /// searched linearly on every DRAM hit.
+    struct Reference {
+        capacity: usize,
+        batch: usize,
+        table: HashMap<u64, (BackendId, RefResidence)>,
+        lru: VecDeque<u64>,
+        staging: Vec<u64>,
+        spill: NvmeDevice,
+        cursor: u64,
+        counters: Counters,
+    }
+
+    impl Reference {
+        fn new(capacity: usize, batch: usize, spill_lbas: u64) -> Reference {
+            Reference {
+                capacity,
+                batch,
+                table: HashMap::new(),
+                lru: VecDeque::new(),
+                staging: Vec::new(),
+                spill: NvmeDevice::new_block(spill_lbas),
+                cursor: 0,
+                counters: Counters::new(),
+            }
+        }
+
+        fn steer(&mut self, flow: u64, new_backend: BackendId, now: Ns) -> (BackendId, Ns) {
+            let t = now + PIPELINE_WORK;
+            let (backend, t) = match self.table.get(&flow).copied() {
+                Some((backend, RefResidence::Dram)) => {
+                    self.counters.bump("hits_dram");
+                    let pos = self.lru.iter().position(|&f| f == flow).unwrap();
+                    self.lru.remove(pos);
+                    self.lru.push_back(flow);
+                    return (backend, t + DRAM_LOOKUP);
+                }
+                Some((backend, RefResidence::Staged)) => {
+                    self.counters.bump("hits_staged");
+                    self.staging.retain(|&f| f != flow);
+                    (backend, t + DRAM_LOOKUP)
+                }
+                Some((backend, RefResidence::Flash(lba))) => {
+                    self.counters.bump("hits_flash");
+                    self.counters.bump("promotions");
+                    let c = self
+                        .spill
+                        .submit(Command::Read { lba, blocks: 1 }, t)
+                        .unwrap();
+                    (backend, c.done)
+                }
+                None => {
+                    self.counters.bump("new_flows");
+                    (new_backend, t + DRAM_LOOKUP)
+                }
+            };
+            if self.lru.len() >= self.capacity {
+                if let Some(victim) = self.lru.pop_front() {
+                    self.counters.bump("spills");
+                    self.table.get_mut(&victim).unwrap().1 = RefResidence::Staged;
+                    self.staging.push(victim);
+                    if self.staging.len() >= self.batch.min(SPILL_BATCH) {
+                        self.flush(t);
+                    }
+                }
+            }
+            self.table.insert(flow, (backend, RefResidence::Dram));
+            self.lru.push_back(flow);
+            (backend, t)
+        }
+
+        fn flush(&mut self, now: Ns) {
+            self.counters.bump("spill_pages");
+            let lba = self.cursor % self.spill.capacity_lbas();
+            self.cursor += 1;
+            let data = bytes::Bytes::from(vec![0u8; LBA_SIZE as usize]);
+            self.spill
+                .submit(Command::Write { lba, data }, now)
+                .unwrap();
+            for flow in self.staging.drain(..) {
+                self.table
+                    .insert(flow, (self.table[&flow].0, RefResidence::Flash(lba)));
+            }
+        }
+    }
+
+    fn sorted_counters(c: &Counters) -> Vec<(&'static str, u64)> {
+        let mut v: Vec<_> = c.iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Drives `packets` (`(flow, idle gap in ns)`) through the balancer
+    /// and the reference, requiring the same `(backend, done)` per steer
+    /// and the same DRAM population; returns the balancer's counters.
+    fn assert_matches_reference(capacity: usize, batch: usize, packets: &[(u64, u64)]) -> Counters {
+        // A 64-page spill device: the cursor wraps, so reused LBAs occur.
+        let mut lb = LoadBalancer::with_spill_batch(4, capacity, 64, batch);
+        let mut reference = Reference::new(capacity, batch, 64);
+        let mut now = Ns::ZERO;
+        for (i, &(flow, gap)) in packets.iter().enumerate() {
+            let got = lb.steer(flow, now);
+            let want = reference.steer(flow, lb.choose_backend(flow), now);
+            assert_eq!(got, want, "packet {i} (flow {flow}) at {now}");
+            assert_eq!(lb.dram_flows(), reference.lru.len(), "packet {i}");
+            now = got.1 + Ns(gap);
+        }
+        assert_eq!(
+            sorted_counters(&lb.counters),
+            sorted_counters(&reference.counters)
+        );
+        assert_eq!(lb.total_flows(), reference.table.len());
+        lb.counters
+    }
+
+    /// Skewed traffic over `universe` flows: a quarter of the flows draw
+    /// most of the packets, so both hot DRAM hits and cold re-visits occur.
+    fn skewed(draws: &[(u64, u64, u64)], universe: u64) -> Vec<(u64, u64)> {
+        draws
+            .iter()
+            .map(|&(pick, hot, gap)| {
+                let flow = if hot < 3 {
+                    pick % universe.div_ceil(4)
+                } else {
+                    pick % universe
+                };
+                (flow, gap)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lru_balancer_matches_naive_reference(
+            capacity in 1usize..12,
+            universe in 2u64..120,
+            batch in prop_oneof![Just(1usize), Just(SPILL_BATCH)],
+            draws in proptest::collection::vec(
+                (0u64..1_000_000, 0u64..4, 0u64..150_000),
+                1..1_500,
+            ),
+        ) {
+            assert_matches_reference(capacity, batch, &skewed(&draws, universe));
+        }
+    }
+
+    #[test]
+    fn reference_equivalence_reaches_staged_and_flash_hits() {
+        let mut rng = proptest::TestRng::new(7);
+        let draws: Vec<(u64, u64, u64)> = (0..4_000)
+            .map(|_| (rng.below(1_000_000), rng.below(4), rng.below(20_000)))
+            .collect();
+        let packets = skewed(&draws, 400);
+        let batch1 = assert_matches_reference(8, 1, &packets);
+        assert!(batch1.get("hits_flash") > 0, "{batch1:?}");
+        assert!(batch1.get("hits_dram") > 0, "{batch1:?}");
+        let batch256 = assert_matches_reference(8, SPILL_BATCH, &packets);
+        assert!(batch256.get("hits_staged") > 0, "{batch256:?}");
+        assert!(batch256.get("hits_flash") > 0, "{batch256:?}");
+    }
 
     #[test]
     fn flows_keep_their_backend() {

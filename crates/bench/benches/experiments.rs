@@ -146,6 +146,23 @@ fn bench_e7(c: &mut Criterion) {
             black_box(backend)
         })
     });
+    // The state size E7b and the lb_spill benchmark run at: a full
+    // 50k-flow DRAM table under Zipf-0.9 traffic, every steer a DRAM hit
+    // that re-orders the LRU.
+    let mut lb = hyperion_apps::LoadBalancer::new(16, 50_000, 1 << 20);
+    let mut t = Ns::ZERO;
+    for f in 0..50_000 {
+        t = lb.steer(f, t).1;
+    }
+    let mut gen = hyperion_apps::TrafficGen::new(7, 50_000, 0.0, 16);
+    c.bench_function("e7/lb_steer_full", |b| {
+        b.iter(|| {
+            let (flow, _) = gen.next_packet();
+            let (backend, done) = lb.steer(flow, t);
+            t = done;
+            black_box(backend)
+        })
+    });
 }
 
 fn bench_e8(c: &mut Criterion) {

@@ -37,6 +37,7 @@ use hyperion_sim::time::Ns;
 use hyperion_storage::corfu::CorfuLog;
 use hyperion_telemetry::Recorder;
 
+use super::percentile;
 use crate::table::{fmt_ns, Table};
 
 /// Fault-plan seed (the availability path performs zero draws; the seed
@@ -271,14 +272,6 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> Outcome {
         }
     }
     out
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx]
 }
 
 fn p99(samples: &[u64]) -> u64 {

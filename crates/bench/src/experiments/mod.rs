@@ -20,3 +20,13 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 pub mod figure2;
+
+/// The `p`-th percentile of an ascending `sorted` sample (the sample at
+/// the rounded rank; 0 when empty).
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
+    sorted[idx]
+}

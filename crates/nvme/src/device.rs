@@ -11,7 +11,8 @@
 //! file system / LSM / shared-log layers above get both correctness and a
 //! faithful latency/queueing profile.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use bytes::Bytes;
 use hyperion_sim::energy::{EnergyMeter, Pj};
@@ -199,9 +200,9 @@ pub struct NvmeDevice {
     /// `reads`/`writes`/`appends`/... structural counters.
     pub counters: Counters,
     kv_page_cursor: u64,
-    /// Completion instants of commands still in flight (the submission
-    /// queue's occupancy model; pruned lazily on each submit).
-    outstanding: Vec<Ns>,
+    /// Completion instants of commands still in flight, earliest on top
+    /// (the submission queue's occupancy model; reaped on each submit).
+    outstanding: BinaryHeap<Reverse<Ns>>,
     /// Injected-fault plan; empty by default (no draws, no perturbation).
     faults: FaultPlan,
     /// LBAs relocated to spare pages after a grown bad block.
@@ -263,7 +264,7 @@ impl NvmeDevice {
             energy: EnergyMeter::new(params::SSD_IDLE_POWER),
             counters: Counters::new(),
             kv_page_cursor: 0,
-            outstanding: Vec::new(),
+            outstanding: BinaryHeap::new(),
             faults: FaultPlan::none(),
             remapped: HashSet::new(),
             remap_cursor: 0,
@@ -348,13 +349,6 @@ impl NvmeDevice {
         done
     }
 
-    /// Number of commands submitted before `now` whose completions have
-    /// not yet posted at `now` — the device's queue depth as a client
-    /// submitting at `now` would observe it.
-    pub fn queue_depth_at(&self, now: Ns) -> usize {
-        self.outstanding.iter().filter(|&&d| d > now).count()
-    }
-
     /// Executes a command arriving at the controller at `now`.
     ///
     /// Timing includes controller overhead plus flash work; state changes
@@ -382,8 +376,17 @@ impl NvmeDevice {
         now: Ns,
         mut rec: Option<&mut Recorder>,
     ) -> Result<Completion, NvmeError> {
+        // Reap completions posted by `now` (inclusive): what is left is the
+        // queue depth a client submitting at `now` observes.
+        while self
+            .outstanding
+            .peek()
+            .is_some_and(|&Reverse(done)| done <= now)
+        {
+            self.outstanding.pop();
+        }
         let trace = rec.as_deref_mut().map(|rec| {
-            rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
+            rec.gauge("nvme:queue_depth", self.outstanding.len() as u64);
             let util = rec.util_enabled();
             let span = rec.open(Component::Nvme, cmd.label(), now);
             // The command reaches the flash after controller overhead;
@@ -402,13 +405,12 @@ impl NvmeDevice {
                 }
             }
             if util {
-                rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
+                rec.depth_sample("nvme:sq", now, self.outstanding.len() as u64);
                 self.flash.begin_trace();
             }
             let recovery_before = RECOVERY_COUNTERS.map(|name| self.counters.get(name));
             (span, util, recovery_before)
         });
-        self.outstanding.retain(|&d| d > now);
         let result = self.execute(cmd, now).map(|mut completion| {
             if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
                 // Internal pause (GC, thermal throttle): the command
@@ -416,7 +418,7 @@ impl NvmeDevice {
                 completion.done += params::READ_LATENCY * 8;
                 self.counters.bump("latency_spikes");
             }
-            self.outstanding.push(completion.done);
+            self.outstanding.push(Reverse(completion.done));
             completion
         });
         if let (Some(rec), Some((span, util, recovery_before))) = (rec, trace) {
@@ -1104,6 +1106,45 @@ mod tests {
         assert_eq!(rec.counter("nvme:latency_spikes"), count("latency_spikes"));
         assert_eq!(rec.counter("nvme:media_failures"), count("media_failures"));
         assert_eq!(rec.open_spans(), 0);
+    }
+
+    #[test]
+    fn queue_depth_matches_naive_count_at_ties_and_boundaries() {
+        // Rounds of four reads over six pages; each round starts exactly
+        // when the previous round's earliest command completes, so some
+        // completions post at the very instant of the next submit
+        // (reaped: the boundary is inclusive), and reads on idle dies
+        // complete at equal instants.
+        let mut d = NvmeDevice::new_block(1 << 20);
+        let mut rec = Recorder::new("nvme-depth");
+        rec.enable_util();
+        let mut dones: Vec<Ns> = Vec::new();
+        let (mut ties, mut boundaries) = (0, 0);
+        let mut now = Ns::ZERO;
+        for round in 0..12u64 {
+            for k in 0..4u64 {
+                let lba = ((round + k) % 6) * params::PAGE_SIZE / params::LBA_SIZE;
+                let naive = dones.iter().filter(|&&done| done > now).count() as u64;
+                boundaries += dones.iter().filter(|&&done| done == now).count();
+                let c = d
+                    .submit_rec(Command::Read { lba, blocks: 1 }, now, Some(&mut rec))
+                    .unwrap();
+                let (_, gauge) = rec
+                    .gauges()
+                    .find(|(name, _)| *name == "nvme:queue_depth")
+                    .unwrap();
+                assert_eq!(gauge.last(), naive, "round {round}, read {k} at {now}");
+                let sq = rec.util().resource("nvme:sq").unwrap().depth_samples();
+                assert_eq!(sq.last(), Some(&(now, naive)));
+                ties += dones.iter().filter(|&&done| done == c.done).count();
+                dones.push(c.done);
+            }
+            now = *dones[dones.len() - 4..].iter().min().unwrap();
+        }
+        assert!(
+            ties > 0 && boundaries > 0,
+            "ties {ties}, boundaries {boundaries}"
+        );
     }
 
     #[test]
