@@ -328,17 +328,18 @@ impl SingleLevelStore {
                 let last = entry.bus_addr + (end - 1) / LBA_SIZE;
                 let blocks = (last - first + 1) as u32;
                 let dev = &mut self.devices[device];
-                let mut region = read_blocks(dev, first, blocks, t)
+                let (old, t_read) = read_blocks(dev, first, blocks, t)
                     .map_err(|e| StoreError::Device(e.to_string()))?;
+                let mut region = old.to_vec();
                 let in_off = (off % LBA_SIZE) as usize;
-                region.0[in_off..in_off + data.len()].copy_from_slice(data);
+                region[in_off..in_off + data.len()].copy_from_slice(data);
                 let c = dev
                     .submit(
                         Command::Write {
                             lba: first,
-                            data: Bytes::from(region.0),
+                            data: Bytes::from(region),
                         },
-                        region.1,
+                        t_read,
                     )
                     .map_err(|e| StoreError::Device(e.to_string()))?;
                 Ok(c.done)
@@ -383,10 +384,7 @@ impl SingleLevelStore {
                 let (buf, done) = read_blocks(dev, first, blocks, t)
                     .map_err(|e| StoreError::Device(e.to_string()))?;
                 let in_off = (off % LBA_SIZE) as usize;
-                Ok((
-                    Bytes::copy_from_slice(&buf[in_off..in_off + len as usize]),
-                    done,
-                ))
+                Ok((buf.slice(in_off..in_off + len as usize), done))
             }
         }
     }
@@ -597,10 +595,10 @@ fn read_blocks(
     lba: u64,
     blocks: u32,
     now: Ns,
-) -> Result<(Vec<u8>, Ns), hyperion_nvme::device::NvmeError> {
+) -> Result<(Bytes, Ns), hyperion_nvme::device::NvmeError> {
     let c = dev.submit(Command::Read { lba, blocks }, now)?;
     match c.response {
-        Response::Data(d) => Ok((d.to_vec(), c.done)),
+        Response::Data(d) => Ok((d, c.done)),
         _ => unreachable!("read returns data"),
     }
 }
@@ -772,6 +770,20 @@ mod tests {
         r.write(SegmentId(2), 0, b"new-data", Ns::ZERO).unwrap();
         let (old, _) = r.read(SegmentId(1), 0, 8, Ns::ZERO).unwrap();
         assert_eq!(old.as_ref(), b"old-data");
+    }
+
+    #[test]
+    fn aligned_nvme_block_reads_back_what_was_written() {
+        let mut s = store();
+        s.create(SegmentId(5), 3 * LBA_SIZE, AllocHint::Capacity, Ns::ZERO)
+            .unwrap();
+        let block: Vec<u8> = (0..LBA_SIZE).map(|i| (i % 251) as u8).collect();
+        s.write(SegmentId(5), LBA_SIZE, &block, Ns::ZERO).unwrap();
+        let (back, _) = s.read(SegmentId(5), LBA_SIZE, LBA_SIZE, Ns::ZERO).unwrap();
+        assert_eq!(back.as_ref(), block.as_slice());
+        // Its neighbours were never written and still read as zeros.
+        let (before, _) = s.read(SegmentId(5), 0, LBA_SIZE, Ns::ZERO).unwrap();
+        assert!(before.iter().all(|&b| b == 0));
     }
 
     #[test]

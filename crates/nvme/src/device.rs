@@ -460,15 +460,8 @@ impl NvmeDevice {
                 self.counters.bump("reads");
                 let done = self.read_pages(lba, blocks, start);
                 let done = self.recover_read(lba, blocks, done)?;
-                let mut out = Vec::with_capacity((blocks * params::LBA_SIZE) as usize);
-                for b in 0..blocks {
-                    match self.blocks.get(&(lba + b)) {
-                        Some(data) => out.extend_from_slice(data),
-                        None => out.extend(std::iter::repeat_n(0u8, params::LBA_SIZE as usize)),
-                    }
-                }
                 Ok(Completion {
-                    response: Response::Data(Bytes::from(out)),
+                    response: Response::Data(self.load_blocks(lba, blocks)),
                     done,
                 })
             }
@@ -670,11 +663,33 @@ impl NvmeDevice {
         }
     }
 
+    /// Keeps a handle on each LBA's slice of `data`: no copy, so a
+    /// one-block write stores the caller's buffer itself.
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
-        for (i, chunk) in data.chunks(params::LBA_SIZE as usize).enumerate() {
+        let size = params::LBA_SIZE as usize;
+        for i in 0..data.len() / size {
             self.blocks
-                .insert(lba + i as u64, Bytes::copy_from_slice(chunk));
+                .insert(lba + i as u64, data.slice(i * size..(i + 1) * size));
         }
+    }
+
+    /// The contents of `blocks` LBAs from `lba`. A single stored LBA is
+    /// handed out as a clone of its handle; multi-block reads and reads
+    /// that hit never-written LBAs (zeros) concatenate into one buffer.
+    fn load_blocks(&self, lba: u64, blocks: u64) -> Bytes {
+        if blocks == 1 {
+            if let Some(data) = self.blocks.get(&lba) {
+                return data.clone();
+            }
+        }
+        let mut out = Vec::with_capacity((blocks * params::LBA_SIZE) as usize);
+        for b in 0..blocks {
+            match self.blocks.get(&(lba + b)) {
+                Some(data) => out.extend_from_slice(data),
+                None => out.extend(std::iter::repeat_n(0u8, params::LBA_SIZE as usize)),
+            }
+        }
+        Bytes::from(out)
     }
 }
 
@@ -1145,6 +1160,59 @@ mod tests {
             ties > 0 && boundaries > 0,
             "ties {ties}, boundaries {boundaries}"
         );
+    }
+
+    fn read(d: &mut NvmeDevice, lba: u64, blocks: u32) -> Bytes {
+        match d
+            .submit(Command::Read { lba, blocks }, Ns::ZERO)
+            .unwrap()
+            .response
+        {
+            Response::Data(data) => data,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    fn write(d: &mut NvmeDevice, lba: u64, data: Bytes) {
+        d.submit(Command::Write { lba, data }, Ns::ZERO).unwrap();
+    }
+
+    #[test]
+    fn one_block_reads_share_the_written_handle() {
+        let mut d = NvmeDevice::new_block(1 << 20);
+        let written = lba_data(0x11, 1);
+        write(&mut d, 7, written.clone());
+        let a = read(&mut d, 7, 1);
+        let b = read(&mut d, 7, 1);
+        assert_eq!(a.as_ptr(), b.as_ptr(), "reads share storage");
+        assert_eq!(a.as_ptr(), written.as_ptr(), "the write was not copied");
+        // Overwriting the LBA swaps in a new handle; the old one still
+        // shows what it was read as.
+        write(&mut d, 7, lba_data(0x22, 1));
+        assert!(a.iter().all(|&x| x == 0x11));
+        assert!(read(&mut d, 7, 1).iter().all(|&x| x == 0x22));
+    }
+
+    #[test]
+    fn overwriting_one_lba_of_a_multi_block_write_keeps_its_neighbours() {
+        let mut d = NvmeDevice::new_block(1 << 20);
+        let lba_size = params::LBA_SIZE as usize;
+        let mut data = vec![0u8; 3 * lba_size];
+        for (i, block) in data.chunks_mut(lba_size).enumerate() {
+            block.fill(i as u8 + 1);
+        }
+        write(&mut d, 40, Bytes::from(data));
+        write(&mut d, 41, lba_data(0xEE, 1));
+        for (lba, fill) in [(40, 1u8), (41, 0xEE), (42, 3)] {
+            let block = read(&mut d, lba, 1);
+            assert_eq!(block.len(), lba_size);
+            assert!(block.iter().all(|&b| b == fill), "LBA {lba}");
+        }
+        let all = read(&mut d, 40, 3);
+        let fills: Vec<u8> = all.chunks(lba_size).map(|c| c[0]).collect();
+        assert_eq!(fills, [1, 0xEE, 3]);
+        // A span reaching past the write reads zeros for the hole.
+        assert!(read(&mut d, 42, 2)[lba_size..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -98,25 +98,64 @@ impl Node {
     }
 
     fn decode(data: &[u8], lba: u64) -> Result<Node, TreeError> {
+        let view = NodeView::parse(data, lba)?;
+        let keys = view.keys.iter().copied().map(u64::from_le_bytes).collect();
+        let slots = view.slots.iter().copied().map(u64::from_le_bytes).collect();
+        Ok(if view.leaf {
+            Node::Leaf {
+                keys,
+                values: slots,
+                next: view.next,
+            }
+        } else {
+            Node::Internal {
+                keys,
+                children: slots,
+            }
+        })
+    }
+}
+
+/// An encoded node read in place: its header, and its key and slot words
+/// still in the block, so a lookup searches a node without decoding it.
+struct NodeView<'a> {
+    leaf: bool,
+    /// Sorted keys, little-endian.
+    keys: &'a [[u8; 8]],
+    /// Values (leaf, one per key) or child LBAs (internal, one more).
+    slots: &'a [[u8; 8]],
+    /// Right sibling leaf (leaves only), 0 = none.
+    next: u64,
+}
+
+impl<'a> NodeView<'a> {
+    /// Checks the header: an unknown tag, or more keys than a node holds
+    /// ([`MAX_KEYS`]), is a corrupt node.
+    fn parse(data: &'a [u8], lba: u64) -> Result<NodeView<'a>, TreeError> {
         let tag = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
         let n = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
         let next = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
-        let word = |i: usize| -> u64 {
-            u64::from_le_bytes(data[16 + i * 8..24 + i * 8].try_into().expect("8 bytes"))
+        let leaf = match tag {
+            TAG_LEAF => true,
+            TAG_INTERNAL => false,
+            _ => return Err(TreeError::Corrupt { lba }),
         };
-        match tag {
-            TAG_LEAF => {
-                let keys = (0..n).map(word).collect();
-                let values = (n..2 * n).map(word).collect();
-                Ok(Node::Leaf { keys, values, next })
-            }
-            TAG_INTERNAL => {
-                let keys = (0..n).map(word).collect();
-                let children = (n..2 * n + 1).map(word).collect();
-                Ok(Node::Internal { keys, children })
-            }
-            _ => Err(TreeError::Corrupt { lba }),
+        if n > MAX_KEYS {
+            return Err(TreeError::Corrupt { lba });
         }
+        let (words, _) = data[16..].as_chunks::<8>();
+        let (keys, rest) = words.split_at(n);
+        let slots = &rest[..if leaf { n } else { n + 1 }];
+        Ok(NodeView {
+            leaf,
+            keys,
+            slots,
+            next,
+        })
+    }
+
+    fn slot(&self, i: usize) -> u64 {
+        u64::from_le_bytes(self.slots[i])
     }
 }
 
@@ -197,22 +236,21 @@ impl BTree {
         let mut t = now;
         loop {
             path.push(lba);
-            let (node, done) = Self::load(store, lba, t)?;
+            let (data, done) = store.read(lba, 1, t)?;
             t = done;
-            match node {
-                Node::Leaf { keys, values, .. } => {
-                    let value = keys.binary_search(&key).ok().map(|i| values[i]);
-                    return Ok(TracedLookup {
-                        value,
-                        path,
-                        done: t,
-                    });
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    lba = children[idx];
-                }
+            let node = NodeView::parse(&data, lba)?;
+            if node.leaf {
+                let found = node
+                    .keys
+                    .binary_search_by_key(&key, |&k| u64::from_le_bytes(k));
+                return Ok(TracedLookup {
+                    value: found.ok().map(|i| node.slot(i)),
+                    path,
+                    done: t,
+                });
             }
+            let idx = node.keys.partition_point(|&k| u64::from_le_bytes(k) <= key);
+            lba = node.slot(idx);
         }
     }
 
@@ -358,29 +396,35 @@ impl BTree {
         let mut out = Vec::new();
         let mut lba = *traced.path.last().expect("path has the leaf");
         loop {
-            let (node, done) = Self::load(store, lba, t)?;
+            let (data, done) = store.read(lba, 1, t)?;
             t = done;
-            let Node::Leaf { keys, values, next } = node else {
+            let leaf = NodeView::parse(&data, lba)?;
+            if !leaf.leaf {
                 return Err(TreeError::Corrupt { lba });
-            };
-            for (k, v) in keys.iter().zip(values.iter()) {
-                if *k >= hi {
+            }
+            for (i, &k) in leaf.keys.iter().enumerate() {
+                let k = u64::from_le_bytes(k);
+                if k >= hi {
                     return Ok((out, t));
                 }
-                if *k >= lo {
-                    out.push((*k, *v));
+                if k >= lo {
+                    out.push((k, leaf.slot(i)));
                 }
             }
-            if next == 0 {
+            if leaf.next == 0 {
                 return Ok((out, t));
             }
-            lba = next;
+            lba = leaf.next;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn build(n: u64) -> (BlockStore, BTree) {
@@ -468,5 +512,95 @@ mod tests {
         }
         let (all, _) = tree.range(&mut store, 0, 1_000, Ns::ZERO).unwrap();
         assert_eq!(all.len(), 1_000);
+    }
+
+    #[test]
+    fn oversized_key_count_is_a_typed_corruption() {
+        for tag in [TAG_LEAF, TAG_INTERNAL] {
+            let (mut store, mut tree) = build(50);
+            let root = tree.root_lba();
+            let mut block = vec![0u8; BLOCK as usize];
+            block[0..4].copy_from_slice(&tag.to_le_bytes());
+            block[4..8].copy_from_slice(&10_000u32.to_le_bytes());
+            store.write(root, block, Ns::ZERO).unwrap();
+            let corrupt = TreeError::Corrupt { lba: root };
+            let get = tree.get(&mut store, 7, Ns::ZERO);
+            assert_eq!(get.unwrap_err(), corrupt, "tag {tag}");
+            let range = tree.range(&mut store, 0, 100, Ns::ZERO);
+            assert_eq!(range.unwrap_err(), corrupt, "tag {tag}");
+            let insert = tree.insert(&mut store, 7, 1, Ns::ZERO);
+            assert_eq!(insert.unwrap_err(), corrupt, "tag {tag}");
+        }
+    }
+
+    /// Every separator key stored in the tree's internal nodes.
+    fn separators(store: &mut BlockStore, lba: u64, out: &mut Vec<u64>) {
+        let (data, _) = store.read(lba, 1, Ns::ZERO).unwrap();
+        if let Node::Internal { keys, children } = Node::decode(&data, lba).unwrap() {
+            out.extend(keys);
+            for child in children {
+                separators(store, child, out);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(9))]
+
+        /// The in-place node search answers like a `BTreeMap` on trees of
+        /// height 1-3: present keys, keys just below and above each one,
+        /// keys outside the stored range, and every internal separator.
+        #[test]
+        fn in_place_lookup_matches_reference(height in 1u32..4, seed in any::<u64>()) {
+            let mut rng = proptest::TestRng::new(seed);
+            // Ascending inserts leave leaves half full, so ~20.2k keys are
+            // the fewest that split a full internal root (height 3).
+            let n = match height {
+                1 => rng.below(MAX_KEYS as u64 + 1),
+                2 => 2 * MAX_KEYS as u64 + rng.below(4_000),
+                _ => 20_300 + rng.below(500),
+            };
+            // Gaps of at least 2 leave an absent key beside every key.
+            let mut key = 1 + rng.below(1_000);
+            let mut keys = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                keys.push(key);
+                key += 2 + rng.below(3);
+            }
+            if height < 3 {
+                for i in (1..keys.len()).rev() {
+                    keys.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            let mut store = BlockStore::with_capacity(1 << 20);
+            let (mut tree, mut t) = BTree::create(&mut store, Ns::ZERO).unwrap();
+            let mut model = BTreeMap::new();
+            for &k in &keys {
+                t = tree.insert(&mut store, k, k ^ seed, t).unwrap();
+                model.insert(k, k ^ seed);
+            }
+            prop_assert_eq!(tree.height(), height);
+            let mut seps = Vec::new();
+            separators(&mut store, tree.root_lba(), &mut seps);
+            prop_assert_eq!(seps.is_empty(), height == 1);
+            let mut probes = vec![0, u64::MAX, key];
+            if let (Some(&lo), Some(&hi)) = (model.keys().next(), model.keys().next_back()) {
+                probes.extend([lo - 1, hi + 1]);
+            }
+            for &k in model.keys().chain(&seps) {
+                probes.extend([k - 1, k, k + 1]);
+            }
+            for k in probes {
+                let traced = tree.lookup_traced(&mut store, k, Ns::ZERO).unwrap();
+                prop_assert_eq!(traced.value, model.get(&k).copied(), "key {}", k);
+                prop_assert_eq!(traced.path.len(), height as usize);
+            }
+            for &sep in &seps {
+                let (got, _) = tree.range(&mut store, sep, sep + 9, Ns::ZERO).unwrap();
+                let want: Vec<(u64, u64)> =
+                    model.range(sep..sep + 9).map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -241,11 +241,12 @@ impl LogUnit {
                 (lba, done)
             }
             UnitBackend::Zoned { device, zone } => {
+                let image = Bytes::from(image);
                 // Zone appends until the zone fills, then move on.
                 loop {
                     let cmd = hyperion_nvme::device::Command::ZoneAppend {
                         zone: *zone,
-                        data: bytes::Bytes::from(image.clone()),
+                        data: image.clone(),
                     };
                     match device.submit(cmd, now) {
                         Ok(c) => {
@@ -311,14 +312,11 @@ impl LogUnit {
                         let hyperion_nvme::device::Response::Data(d) = c.response else {
                             unreachable!("read returns data");
                         };
-                        (d.to_vec(), c.done)
+                        (d, c.done)
                     }
                 };
                 let len = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes")) as usize;
-                Ok((
-                    LogEntry::Data(Bytes::copy_from_slice(&raw[12..12 + len])),
-                    done,
-                ))
+                Ok((LogEntry::Data(raw.slice(12..12 + len)), done))
             }
         }
     }
